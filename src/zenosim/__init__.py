@@ -16,13 +16,10 @@ from .engine import (
     run_tunneling,
     run_unitary,
     run_zeno,
-    survival_product,
     two_level_survival_closed_form,
-    two_level_zeno_limit,
 )
 from .ghz import (
     GhzDiagnostics,
-    PulseSequence,
     entangling_time,
     ghz_fidelity,
     rotation_pulse,
@@ -59,10 +56,10 @@ __all__ = [
     "build_tunneling", "build_ghz_hamiltonian", "projector_comp",
     "ZenoSchedule", "SimulationTrace", "SurvivalRecord",
     "PhysicsError", "DegenerateProjectionError",
-    "two_level_survival_closed_form", "two_level_zeno_limit",
+    "two_level_survival_closed_form",
     "run_unitary", "run_zeno", "run_tunneling",
-    "perturbative_step", "survival_product",
-    "PulseSequence", "GhzDiagnostics", "rotation_pulse", "entangling_time",
+    "perturbative_step",
+    "GhzDiagnostics", "rotation_pulse", "entangling_time",
     "run_ghz_protocol", "ghz_fidelity",
     "ConfigError", "ScenarioConfig", "SweepResult",
     "load_config", "find_n_crit", "sweep",

@@ -34,19 +34,15 @@ __all__ = [
     "SimulationTrace",
     "SurvivalRecord",
     "two_level_survival_closed_form",
-    "two_level_zeno_limit",
     "run_unitary",
     "run_zeno",
     "run_tunneling",
     "perturbative_step",
-    "survival_product",
     "default_tunneling_steps",
 ]
 
 # Norm below which a projective measurement outcome is treated as impossible.
 DEGENERATE_NORM = 1e-14
-
-PROBABILITY_SLACK = 1e-12
 
 
 class PhysicsError(RuntimeError):
@@ -89,17 +85,11 @@ class SimulationTrace:
     times        sample instants (ns), strictly increasing
     populations  row k holds (p_1, ..., p_dim) at times[k]
     survival     running survival probability W at times[k]
-    amplitudes   complex amplitudes at times[k], retained on request
     """
 
     times: np.ndarray
     populations: np.ndarray
     survival: np.ndarray
-    amplitudes: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.populations.shape[1]
 
 
 @dataclass
@@ -125,16 +115,6 @@ def two_level_survival_closed_form(v: float, t_total: float, n: int) -> float:
     return (1.0 - q / n**2) ** n
 
 
-def two_level_zeno_limit(v: float, t_total: float) -> float:
-    """Infinite-measurement-rate limit of the closed form: always 1.
-
-    Provided for API symmetry; (1 - q/n^2)^n -> exp(-q/n) -> 1 as n grows.
-    """
-    if not (math.isfinite(v) and math.isfinite(t_total)):
-        raise ValueError("v and t_total must be finite")
-    return 1.0
-
-
 def _check_unit_state(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     v = np.asarray(psi, dtype=complex)
     if v.ndim != 1:
@@ -145,8 +125,7 @@ def _check_unit_state(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return v
 
 
-def run_unitary(h, psi0, t_total: float, samples: int = 101,
-                retain_amplitudes: bool = False) -> SimulationTrace:
+def run_unitary(h, psi0, t_total: float, samples: int = 101) -> SimulationTrace:
     """Exact unmeasured evolution exp(-iHt)|psi0> sampled on a uniform grid.
 
     The survival column is the instantaneous probability of not being in the
@@ -168,26 +147,22 @@ def run_unitary(h, psi0, t_total: float, samples: int = 101,
     coef = vecs.conj().T @ psi
     times = np.linspace(0.0, t_total, samples)
     states = (vecs @ (np.exp(-1j * np.outer(w, times)) * coef[:, None])).T
+    # The eigenbasis round trip moves psi(0) by an ulp; t = 0 is exact.
+    states[0] = psi
     populations = np.abs(states) ** 2
     survival = 1.0 - populations[:, -1]
-    return SimulationTrace(
-        times=times,
-        populations=populations,
-        survival=survival,
-        amplitudes=states if retain_amplitudes else None,
-    )
+    return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
-def _default_projector(dim: int) -> np.ndarray:
+def _computational_projector(dim: int) -> np.ndarray:
     if dim == 3:
         return projector_comp(3)
     if dim == 2:
         return np.diag([1.0, 0.0]).astype(complex)
-    raise ValueError(f"no default projector for dim {dim}; pass one explicitly")
+    raise ValueError(f"no computational projector for dim {dim}")
 
 
-def run_zeno(h, psi0, schedule: ZenoSchedule, projector=None,
-             retain_amplitudes: bool = False) -> tuple[SimulationTrace, SurvivalRecord]:
+def run_zeno(h, psi0, schedule: ZenoSchedule) -> tuple[SimulationTrace, SurvivalRecord]:
     """Evolve-then-measure protocol conditioned on never detecting the leak level.
 
     Each of the n intervals evolves the state by exp(-iH dt); the
@@ -202,14 +177,7 @@ def run_zeno(h, psi0, schedule: ZenoSchedule, projector=None,
     dim = hm.shape[0]
     if psi.shape[0] != dim:
         raise ValueError("dimension mismatch between h and psi0")
-    if projector is None:
-        proj = _default_projector(dim)
-    else:
-        proj = np.asarray(projector, dtype=complex)
-        if proj.shape != hm.shape:
-            raise ValueError("projector shape must match h")
-        if not is_hermitian(proj) or np.max(np.abs(proj @ proj - proj)) > 1e-12:
-            raise ValueError("projector must be Hermitian and idempotent")
+    proj = _computational_projector(dim)
     leak0 = np.linalg.norm(psi - proj @ psi)
     if leak0 > 1e-10:
         raise ValueError("psi0 must lie in the monitored (computational) subspace")
@@ -219,21 +187,16 @@ def run_zeno(h, psi0, schedule: ZenoSchedule, projector=None,
     times = np.empty(n + 1)
     populations = np.empty((n + 1, dim))
     survival = np.empty(n + 1)
-    amplitudes = np.empty((n + 1, dim), dtype=complex) if retain_amplitudes else None
 
     times[0] = 0.0
     populations[0] = np.abs(psi) ** 2
     survival[0] = 1.0
-    if amplitudes is not None:
-        amplitudes[0] = psi
 
-    leaks: list[float] = []
     running = 1.0
     for k in range(1, n + 1):
         psi = apply(u, psi)
         kept = proj @ psi
         leak = float(np.linalg.norm(psi - kept) ** 2)
-        leaks.append(leak)
         running *= 1.0 - leak
         nrm = np.linalg.norm(kept)
         if nrm < DEGENERATE_NORM:
@@ -244,12 +207,9 @@ def run_zeno(h, psi0, schedule: ZenoSchedule, projector=None,
         times[k] = k * schedule.dt
         populations[k] = np.abs(psi) ** 2
         survival[k] = running
-        if amplitudes is not None:
-            amplitudes[k] = psi
 
-    record = SurvivalRecord(w_zeno=survival_product(leaks), n=n)
-    trace = SimulationTrace(times=times, populations=populations,
-                            survival=survival, amplitudes=amplitudes)
+    record = SurvivalRecord(w_zeno=running, n=n)
+    trace = SimulationTrace(times=times, populations=populations, survival=survival)
     return trace, record
 
 
@@ -265,8 +225,8 @@ def default_tunneling_steps(gamma: float, t_total: float) -> int:
     return steps
 
 
-def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None,
-                  retain_amplitudes: bool = False) -> tuple[SimulationTrace, SurvivalRecord]:
+def run_tunneling(h_nh, psi0, t_total: float,
+                  steps: int | None = None) -> tuple[SimulationTrace, SurvivalRecord]:
     """Continuous-measurement evolution under a decaying-level Hamiltonian.
 
     The state is never renormalized; the lost norm is the probability that
@@ -297,19 +257,13 @@ def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None,
     u = mat_exp(hm, -1j * delta)
     times = np.linspace(0.0, t_total, steps + 1)
     populations = np.empty((steps + 1, 3))
-    amplitudes = np.empty((steps + 1, 3), dtype=complex) if retain_amplitudes else None
     populations[0] = np.abs(psi) ** 2
-    if amplitudes is not None:
-        amplitudes[0] = psi
     for k in range(1, steps + 1):
         psi = u @ psi
         populations[k] = np.abs(psi) ** 2
-        if amplitudes is not None:
-            amplitudes[k] = psi
     survival = populations[:, 0] + populations[:, 1]
     record = SurvivalRecord(w_tunnel=float(survival[-1]))
-    trace = SimulationTrace(times=times, populations=populations,
-                            survival=survival, amplitudes=amplitudes)
+    trace = SimulationTrace(times=times, populations=populations, survival=survival)
     return trace, record
 
 
@@ -342,14 +296,3 @@ def perturbative_step(a1: complex, a2: complex, omega: float, eta: float,
         a1 * omega**2 - a2 * omega * (gamma / 2.0 + 1j * eta)
     ) * dt**2
     return a1p, a2p, a3p
-
-
-def survival_product(p3_samples) -> float:
-    """Product of per-measurement no-leak probabilities, prod_k (1 - p3_k)."""
-    result = 1.0
-    for k, p in enumerate(p3_samples):
-        p = float(p)
-        if p < -PROBABILITY_SLACK or p > 1.0 + PROBABILITY_SLACK:
-            raise ValueError(f"sample {k} outside [0, 1]: {p!r}")
-        result *= 1.0 - min(max(p, 0.0), 1.0)
-    return result

@@ -17,37 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply, is_hermitian, kron, mat_exp
+from .linalg import apply, kron, mat_exp
 from .models import SIGMA_X, SIGMA_Y, build_ghz_hamiltonian
 
 __all__ = [
-    "PulseSequence",
     "GhzDiagnostics",
     "rotation_pulse",
     "entangling_time",
     "coupling_hamiltonian",
-    "protocol_sequence",
     "run_ghz_protocol",
     "ghz_fidelity",
 ]
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Ordered (generator, duration) pairs of Hamiltonian-evolution steps."""
-
-    steps: tuple
-
-    def __post_init__(self) -> None:
-        for k, (gen, duration) in enumerate(self.steps):
-            if not is_hermitian(gen):
-                raise ValueError(f"step {k} generator is not Hermitian")
-            if not (math.isfinite(duration) and duration > 0):
-                raise ValueError(f"step {k} duration must be positive, got {duration!r}")
-
-    @property
-    def duration(self) -> float:
-        return float(sum(d for _, d in self.steps))
 
 
 @dataclass(frozen=True)
@@ -92,23 +72,13 @@ def coupling_hamiltonian(g: float, g_tilde: float) -> np.ndarray:
     return build_ghz_hamiltonian(np.zeros((3, 3)), g, g_tilde)
 
 
-def protocol_sequence(g: float, g_tilde: float) -> PulseSequence:
-    """Hamiltonian-evolution steps of the protocol.
-
-    The rotations are instantaneous, so the sequence holds only the
-    entangling step and the protocol duration equals the entangling time.
-    """
-    return PulseSequence(((coupling_hamiltonian(g, g_tilde), entangling_time(g, g_tilde)),))
-
-
 def run_ghz_protocol(g: float, g_tilde: float) -> tuple[np.ndarray, GhzDiagnostics]:
     """Run X_{pi/2} U_int Y_{pi/2} on |000> and diagnose the result."""
-    sequence = protocol_sequence(g, g_tilde)
     psi = np.zeros(8, dtype=complex)
     psi[0] = 1.0
     psi = apply(rotation_pulse("y", math.pi / 2), psi)
-    for generator, duration in sequence.steps:
-        psi = apply(mat_exp(generator, -1j * duration), psi)
+    entangle = mat_exp(coupling_hamiltonian(g, g_tilde), -1j * entangling_time(g, g_tilde))
+    psi = apply(entangle, psi)
     psi = apply(rotation_pulse("x", math.pi / 2), psi)
     return psi, ghz_fidelity(psi)
 

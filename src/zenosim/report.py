@@ -2,17 +2,20 @@
 
 Configs are flat JSON objects with an explicit per-mode schema; unknown and
 misplaced keys are rejected up front so a typo in a physics parameter can
-never run silently.  All numeric output is printed with 17 significant
-digits, which round-trips float64 exactly and keeps regression diffs
-meaningful.
+never run silently.  Each mode is one entry of `_MODES`: the keys it
+accepts and requires, and the runner that emits its CSV and returns its
+summary.  All numeric output is printed with 17 significant digits, which
+round-trips float64 exactly and keeps regression diffs meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -26,14 +29,7 @@ from .engine import (
     run_zeno,
 )
 from .ghz import entangling_time, run_ghz_protocol
-from .models import (
-    DEFAULT_ETA,
-    DEFAULT_PHI,
-    ModelSpec,
-    build_three_level,
-    build_tunneling,
-    build_two_level,
-)
+from .models import ModelSpec, build_three_level, build_tunneling, build_two_level
 
 __all__ = [
     "ConfigError",
@@ -49,57 +45,6 @@ __all__ = [
     "emit_sweep_csv",
     "run_scenario",
 ]
-
-MODES = (
-    "two_level_zeno",
-    "three_level_zeno",
-    "no_zeno",
-    "tunneling",
-    "ghz",
-    "sweep",
-    "ncrit",
-)
-
-SWEEP_AXES = ("n", "gamma", "omega", "dt")
-
-_FLOAT_KEYS = {"omega", "phi", "eta", "gamma", "v", "g", "g_tilde", "dt", "t_total"}
-_INT_KEYS = {"n", "samples", "steps", "seed", "n_max"}
-_STR_KEYS = {"mode", "out", "axis"}
-_LIST_KEYS = {"axis_values"}
-
-_COMMON_KEYS = {"mode", "seed"}
-
-# Keys each mode accepts beyond the common ones; ncrit has no file output,
-# so it takes no `out`.
-_MODE_KEYS = {
-    "two_level_zeno": {"v", "n", "dt", "t_total", "out"},
-    "three_level_zeno": {"omega", "phi", "eta", "n", "dt", "t_total", "out"},
-    "no_zeno": {"omega", "phi", "eta", "t_total", "samples", "out"},
-    "tunneling": {"omega", "eta", "gamma", "t_total", "steps", "out"},
-    "ghz": {"g", "g_tilde", "out"},
-    "sweep": {"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total", "out"},
-    "ncrit": {"omega", "phi", "eta", "t_total", "n_max"},
-}
-
-# Hard requirements per mode; zeno modes additionally need exactly one of
-# dt / t_total, and sweep needs axis-dependent keys (checked in code).
-_MODE_REQUIRED = {
-    "two_level_zeno": {"v", "n"},
-    "three_level_zeno": {"omega", "n"},
-    "no_zeno": {"omega", "t_total"},
-    "tunneling": {"omega", "gamma", "t_total"},
-    "ghz": {"g", "g_tilde"},
-    "sweep": {"axis", "axis_values"},
-    "ncrit": {"omega", "t_total", "n_max"},
-}
-
-_SWEEP_AXIS_REQUIRED = {
-    "n": {"omega", "t_total"},
-    "gamma": {"omega", "t_total"},
-    "omega": {"t_total"},
-    "dt": {"omega", "n"},
-}
-
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
@@ -117,11 +62,10 @@ class ScenarioConfig:
     samples: int = 101
     steps: int | None = None
     output_path: str | None = None
-    seed: int = 0
+    gamma: float | None = None
     axis: str | None = None
     axis_values: tuple[float, ...] | None = None
     n_max: int | None = None
-    provided: frozenset = field(default_factory=frozenset)
 
 
 @dataclass
@@ -152,33 +96,75 @@ def _coerce_int(key: str, value) -> int:
     raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
 
 
-def _coerce(key: str, value):
-    if key in _FLOAT_KEYS:
-        return _coerce_float(key, value)
-    if key in _INT_KEYS:
-        return _coerce_int(key, value)
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"key {key!r} must be a string, got {value!r}")
-        return value
-    if key in _LIST_KEYS:
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"key {key!r} must be a non-empty list of numbers")
-        return tuple(_coerce_float(key, x) for x in value)
-    raise ConfigError(f"unknown config key: {key!r}")
+def _coerce_str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"key {key!r} must be a string, got {value!r}")
+    return value
 
 
-def _resolve_schedule(mode: str, raw: dict) -> ZenoSchedule:
-    has_dt = "dt" in raw
-    has_t = "t_total" in raw
+def _coerce_float_list(key: str, value) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"key {key!r} must be a non-empty list of numbers")
+    return tuple(_coerce_float(key, x) for x in value)
+
+
+# Every config key the schema knows, with its coercion; any other key is unknown.
+_COERCE = {
+    **dict.fromkeys(
+        ("omega", "phi", "eta", "gamma", "v", "g", "g_tilde", "dt", "t_total"), _coerce_float
+    ),
+    **dict.fromkeys(("n", "samples", "steps", "n_max"), _coerce_int),
+    **dict.fromkeys(("mode", "out", "axis"), _coerce_str),
+    "axis_values": _coerce_float_list,
+}
+
+# Keys each sweep axis needs besides `axis` and `axis_values`.
+_SWEEP_AXIS_REQUIRED = {
+    "n": {"omega", "t_total"},
+    "gamma": {"omega", "t_total"},
+    "omega": {"t_total"},
+    "dt": {"omega", "n"},
+}
+
+SWEEP_AXES = tuple(_SWEEP_AXIS_REQUIRED)
+
+
+def _resolve_schedule(values: dict) -> ZenoSchedule:
+    """Zeno modes take exactly one of dt and t_total; the other follows from n."""
+    has_dt = "dt" in values
+    has_t = "t_total" in values
     if has_dt == has_t:
-        raise ConfigError(f"mode {mode!r} needs exactly one of 'dt' or 't_total'")
-    n = raw["n"]
-    dt = raw["dt"] if has_dt else raw["t_total"] / n
+        raise ConfigError(f"mode {values['mode']!r} needs exactly one of 'dt' or 't_total'")
+    n = values["n"]
+    dt = values["dt"] if has_dt else values["t_total"] / n
     try:
         return ZenoSchedule(n=n, dt=dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_ghz(values: dict) -> None:
+    if values["g"] == values["g_tilde"]:
+        raise ConfigError("ghz requires g != g_tilde (entangling time diverges)")
+
+
+def _check_sweep(values: dict) -> None:
+    axis = values["axis"]
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"invalid sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}")
+    need = _SWEEP_AXIS_REQUIRED[axis] - values.keys()
+    if need:
+        raise ConfigError(f"sweep over {axis!r} requires keys {sorted(need)}")
+    diffs = np.diff(values["axis_values"])
+    if not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ConfigError("axis_values must be strictly monotone")
+    for x in values["axis_values"]:
+        if axis == "n" and (x < 1 or not float(x).is_integer()):
+            raise ConfigError(f"n grid values must be positive integers, got {x!r}")
+        if axis == "dt" and x <= 0:
+            raise ConfigError(f"dt grid values must be positive, got {x!r}")
+        if axis in ("omega", "gamma") and x < 0:
+            raise ConfigError(f"{axis} grid values must be >= 0, got {x!r}")
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -191,43 +177,23 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
 
-    allowed = _COMMON_KEYS | _MODE_KEYS[mode]
+    entry = _MODES[mode]
     for key in raw:
-        if key not in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS:
+        if key not in _COERCE:
             raise ConfigError(f"unknown config key: {key!r}")
-        if key not in allowed:
+        if key != "mode" and key not in entry.keys:
             raise ConfigError(f"key {key!r} is not accepted by mode {mode!r}")
-    values = {k: _coerce(k, v) for k, v in raw.items()}
+    values = {k: _COERCE[k](k, v) for k, v in raw.items()}
 
-    missing = _MODE_REQUIRED[mode] - values.keys()
+    missing = entry.required - values.keys()
     if missing:
         raise ConfigError(
-            f"mode {mode!r} requires keys {sorted(_MODE_REQUIRED[mode])}; "
+            f"mode {mode!r} requires keys {sorted(entry.required)}; "
             f"missing {sorted(missing)}"
         )
 
-    schedule = None
-    t_total = values.get("t_total")
-    axis = values.get("axis")
-    axis_values = values.get("axis_values")
-
-    if mode in ("two_level_zeno", "three_level_zeno"):
-        schedule = _resolve_schedule(mode, values)
-        t_total = schedule.t_total
-    if mode == "ghz" and values["g"] == values["g_tilde"]:
-        raise ConfigError("ghz requires g != g_tilde (entangling time diverges)")
-    if mode == "sweep":
-        if axis not in SWEEP_AXES:
-            raise ConfigError(
-                f"invalid sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
-            )
-        need = _SWEEP_AXIS_REQUIRED[axis] - values.keys()
-        if need:
-            raise ConfigError(f"sweep over {axis!r} requires keys {sorted(need)}")
-        diffs = np.diff(axis_values)
-        if not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ConfigError("axis_values must be strictly monotone")
-        _validate_axis_grid(axis, axis_values)
+    schedule = entry.check(values)
+    t_total = schedule.t_total if schedule is not None else values.get("t_total")
 
     if values.get("samples", 101) < 2:
         raise ConfigError("samples must be >= 2")
@@ -238,15 +204,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("t_total must be positive")
 
     try:
-        model = ModelSpec(
-            omega=values.get("omega", 0.0),
-            phi=values.get("phi", DEFAULT_PHI),
-            eta=values.get("eta", DEFAULT_ETA),
-            gamma=values.get("gamma", 0.0),
-            v=values.get("v", 0.0),
-            g=values.get("g", 0.0),
-            g_tilde=values.get("g_tilde", 0.0),
-        )
+        # Physical keys are named as ModelSpec fields; absent ones take its defaults.
+        physics = {f.name: values[f.name] for f in fields(ModelSpec) if f.name in values}
+        model = ModelSpec(**physics)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -259,22 +219,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
         samples=values.get("samples", 101),
         steps=values.get("steps"),
         output_path=values.get("out"),
-        seed=values.get("seed", 0),
-        axis=axis,
-        axis_values=axis_values,
+        gamma=values.get("gamma"),
+        axis=values.get("axis"),
+        axis_values=values.get("axis_values"),
         n_max=values.get("n_max"),
-        provided=frozenset(values.keys()),
     )
-
-
-def _validate_axis_grid(axis: str, grid) -> None:
-    for x in grid:
-        if axis == "n" and (x < 1 or not float(x).is_integer()):
-            raise ConfigError(f"n grid values must be positive integers, got {x!r}")
-        if axis == "dt" and x <= 0:
-            raise ConfigError(f"dt grid values must be positive, got {x!r}")
-        if axis in ("omega", "gamma") and x < 0:
-            raise ConfigError(f"{axis} grid values must be >= 0, got {x!r}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -324,31 +273,8 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
     return None
 
 
-def _sweep_point(cfg: ScenarioConfig, axis: str, value: float) -> SurvivalRecord:
-    model = cfg.model
-    omega = value if axis == "omega" else model.omega
-    gamma = value if axis == "gamma" else (model.gamma if "gamma" in cfg.provided else None)
-    n = int(value) if axis == "n" else cfg.n
-    t_total = n * value if axis == "dt" else cfg.t_total
-
-    record = SurvivalRecord()
-    h = build_three_level(omega, model.phi, model.eta)
-    psi0 = _ground_state(3)
-    record.w_no_zeno = float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
-    if n is not None:
-        dt = value if axis == "dt" else t_total / n
-        _, zrec = run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt))
-        record.w_zeno = zrec.w_zeno
-        record.n = n
-    if gamma is not None:
-        h_nh = build_tunneling(omega, model.eta, gamma)
-        _, trec = run_tunneling(h_nh, psi0, t_total, steps=cfg.steps)
-        record.w_tunnel = trec.w_tunnel
-    return record
-
-
 def sweep(cfg: ScenarioConfig) -> SweepResult:
-    """Run the engine once per grid point along the configured axis.
+    """Run the engine along the configured axis, one record per grid point.
 
     Each record carries every survival variant the configuration defines:
     w_no_zeno always, w_zeno when a measurement count is available, w_tunnel
@@ -356,7 +282,37 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     """
     if cfg.mode != "sweep":
         raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r}")
-    records = [_sweep_point(cfg, cfg.axis, x) for x in cfg.axis_values]
+    model = cfg.model
+    psi0 = _ground_state(3)
+
+    # w_no_zeno depends only on (omega, T) and w_tunnel only on (omega, gamma, T),
+    # so grid points that share those values share one run.
+    @functools.cache
+    def w_no_zeno(omega: float, t_total: float) -> float:
+        h = build_three_level(omega, model.phi, model.eta)
+        return float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
+
+    @functools.cache
+    def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
+        _, record = run_tunneling(build_tunneling(omega, model.eta, gamma), psi0, t_total)
+        return record.w_tunnel
+
+    records = []
+    for value in cfg.axis_values:
+        omega = value if cfg.axis == "omega" else model.omega
+        gamma = value if cfg.axis == "gamma" else cfg.gamma
+        n = int(value) if cfg.axis == "n" else cfg.n
+        t_total = n * value if cfg.axis == "dt" else cfg.t_total
+
+        record = SurvivalRecord()
+        if n is not None:
+            dt = value if cfg.axis == "dt" else t_total / n
+            h = build_three_level(omega, model.phi, model.eta)
+            _, record = run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt))
+        record.w_no_zeno = w_no_zeno(omega, t_total)
+        if gamma is not None:
+            record.w_tunnel = w_tunnel(omega, gamma, t_total)
+        records.append(record)
     return SweepResult(axis=cfg.axis, grid=tuple(cfg.axis_values), records=records)
 
 
@@ -409,67 +365,101 @@ def _emit_ghz_csv(psi: np.ndarray, path) -> None:
     _write_lines(path, lines)
 
 
-def _dispatch(cfg: ScenarioConfig) -> str:
+def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace, w: float) -> str:
+    if cfg.output_path:
+        emit_trace_csv(trace, cfg.output_path)
+    return f"T={_fmt(cfg.t_total)} W={_fmt(w)}"
+
+
+# Runners look the engine, builders and emitters up by module-level name at
+# call time, so a caller may wrap those names (as a tracer does).
+def _run_two_level_zeno(cfg: ScenarioConfig) -> str:
+    trace, record = run_zeno(build_two_level(cfg.model.v), _ground_state(2), cfg.schedule)
+    return _emit_trace(cfg, trace, record.w_zeno)
+
+
+def _run_three_level_zeno(cfg: ScenarioConfig) -> str:
     model = cfg.model
-    if cfg.mode == "two_level_zeno":
-        trace, record = run_zeno(build_two_level(model.v), _ground_state(2), cfg.schedule)
-        if cfg.output_path:
-            emit_trace_csv(trace, cfg.output_path)
-        return f"mode=two_level_zeno T={_fmt(cfg.t_total)} W={_fmt(record.w_zeno)}"
+    h = build_three_level(model.omega, model.phi, model.eta)
+    trace, record = run_zeno(h, _ground_state(3), cfg.schedule)
+    return _emit_trace(cfg, trace, record.w_zeno)
 
-    if cfg.mode == "three_level_zeno":
-        h = build_three_level(model.omega, model.phi, model.eta)
-        trace, record = run_zeno(h, _ground_state(3), cfg.schedule)
-        if cfg.output_path:
-            emit_trace_csv(trace, cfg.output_path)
-        return f"mode=three_level_zeno T={_fmt(cfg.t_total)} W={_fmt(record.w_zeno)}"
 
-    if cfg.mode == "no_zeno":
-        h = build_three_level(model.omega, model.phi, model.eta)
-        trace = run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples)
-        if cfg.output_path:
-            emit_trace_csv(trace, cfg.output_path)
-        return f"mode=no_zeno T={_fmt(cfg.t_total)} W={_fmt(trace.survival[-1])}"
+def _run_no_zeno(cfg: ScenarioConfig) -> str:
+    model = cfg.model
+    h = build_three_level(model.omega, model.phi, model.eta)
+    trace = run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples)
+    return _emit_trace(cfg, trace, trace.survival[-1])
 
-    if cfg.mode == "tunneling":
-        h = build_tunneling(model.omega, model.eta, model.gamma)
-        trace, record = run_tunneling(h, _ground_state(3), cfg.t_total, steps=cfg.steps)
-        if cfg.output_path:
-            emit_trace_csv(trace, cfg.output_path)
-        return f"mode=tunneling T={_fmt(cfg.t_total)} W={_fmt(record.w_tunnel)}"
 
-    if cfg.mode == "ghz":
-        psi, diag = run_ghz_protocol(model.g, model.g_tilde)
-        duration = entangling_time(model.g, model.g_tilde)
-        if cfg.output_path:
-            _emit_ghz_csv(psi, cfg.output_path)
-        return f"mode=ghz T={_fmt(duration)} W={_fmt(diag.fidelity)}"
+def _run_tunneling(cfg: ScenarioConfig) -> str:
+    model = cfg.model
+    h = build_tunneling(model.omega, model.eta, model.gamma)
+    trace, record = run_tunneling(h, _ground_state(3), cfg.t_total, steps=cfg.steps)
+    return _emit_trace(cfg, trace, record.w_tunnel)
 
-    if cfg.mode == "sweep":
-        result = sweep(cfg)
-        if cfg.output_path:
-            emit_sweep_csv(result, cfg.output_path)
-        last = result.records[-1]
-        w = next(
-            (x for x in (last.w_zeno, last.w_tunnel, last.w_no_zeno) if x is not None),
-            float("nan"),
-        )
-        t_part = f" T={_fmt(cfg.t_total)}" if cfg.t_total is not None else ""
-        return f"mode=sweep axis={result.axis} points={len(result.grid)}{t_part} W={_fmt(w)}"
 
-    if cfg.mode == "ncrit":
-        n_crit = find_n_crit(model, cfg.t_total, cfg.n_max)
-        if n_crit is None:
-            return f"mode=ncrit T={_fmt(cfg.t_total)} n_crit=none"
-        h = build_three_level(model.omega, model.phi, model.eta)
-        _, record = run_zeno(
-            h, _ground_state(3), ZenoSchedule(n=n_crit, dt=cfg.t_total / n_crit)
-        )
-        return (
-            f"mode=ncrit T={_fmt(cfg.t_total)} n_crit={n_crit} W={_fmt(record.w_zeno)}"
-        )
+def _run_ghz(cfg: ScenarioConfig) -> str:
+    model = cfg.model
+    psi, diag = run_ghz_protocol(model.g, model.g_tilde)
+    duration = entangling_time(model.g, model.g_tilde)
+    if cfg.output_path:
+        _emit_ghz_csv(psi, cfg.output_path)
+    return f"T={_fmt(duration)} W={_fmt(diag.fidelity)}"
 
-    raise ConfigError(f"unknown mode {cfg.mode!r}")
+
+def _run_sweep(cfg: ScenarioConfig) -> str:
+    result = sweep(cfg)
+    if cfg.output_path:
+        emit_sweep_csv(result, cfg.output_path)
+    last = result.records[-1]
+    w = next(x for x in (last.w_zeno, last.w_tunnel, last.w_no_zeno) if x is not None)
+    t_part = f" T={_fmt(cfg.t_total)}" if cfg.t_total is not None else ""
+    return f"axis={result.axis} points={len(result.grid)}{t_part} W={_fmt(w)}"
+
+
+def _run_ncrit(cfg: ScenarioConfig) -> str:
+    model = cfg.model
+    n_crit = find_n_crit(model, cfg.t_total, cfg.n_max)
+    if n_crit is None:
+        return f"T={_fmt(cfg.t_total)} n_crit=none"
+    h = build_three_level(model.omega, model.phi, model.eta)
+    schedule = ZenoSchedule(n=n_crit, dt=cfg.t_total / n_crit)
+    _, record = run_zeno(h, _ground_state(3), schedule)
+    return f"T={_fmt(cfg.t_total)} n_crit={n_crit} W={_fmt(record.w_zeno)}"
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """One mode: the keys it accepts besides `mode`, the keys it requires, the
+    runner that writes its CSV (when `out` is set) and returns the summary after
+    `mode=<name>`, and a check of the coerced values that returns the schedule
+    a Zeno mode runs on."""
+
+    keys: set[str]
+    required: set[str]
+    run: Callable[[ScenarioConfig], str]
+    check: Callable[[dict], ZenoSchedule | None] = lambda values: None
+
+
+_MODES = {
+    "two_level_zeno": _Mode({"v", "n", "dt", "t_total", "out"}, {"v", "n"},
+                            _run_two_level_zeno, _resolve_schedule),
+    "three_level_zeno": _Mode({"omega", "phi", "eta", "n", "dt", "t_total", "out"},
+                              {"omega", "n"}, _run_three_level_zeno, _resolve_schedule),
+    "no_zeno": _Mode({"omega", "phi", "eta", "t_total", "samples", "out"},
+                     {"omega", "t_total"}, _run_no_zeno),
+    "tunneling": _Mode({"omega", "eta", "gamma", "t_total", "steps", "out"},
+                       {"omega", "gamma", "t_total"}, _run_tunneling),
+    "ghz": _Mode({"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
+    "sweep": _Mode({"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total",
+                    "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep),
+    # ncrit has no file output, so it takes no `out`.
+    "ncrit": _Mode({"omega", "phi", "eta", "t_total", "n_max"},
+                   {"omega", "t_total", "n_max"}, _run_ncrit),
+}
+
+MODES = tuple(_MODES)
 
 
 def run_scenario(config_path=None, mode: str | None = None,
@@ -492,7 +482,7 @@ def run_scenario(config_path=None, mode: str | None = None,
             if value is not None:
                 raw[key] = value
         cfg = validate_config(raw)
-        summary = _dispatch(cfg)
+        summary = f"mode={cfg.mode} {_MODES[cfg.mode].run(cfg)}"
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

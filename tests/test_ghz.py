@@ -5,11 +5,9 @@ import pytest
 
 from zenosim.ghz import (
     GhzDiagnostics,
-    PulseSequence,
     coupling_hamiltonian,
     entangling_time,
     ghz_fidelity,
-    protocol_sequence,
     rotation_pulse,
     run_ghz_protocol,
 )
@@ -107,25 +105,6 @@ class TestProtocol:
     def test_propagates_divergent_time_error(self):
         with pytest.raises(ValueError):
             run_ghz_protocol(0.01, 0.01)
-
-    def test_sequence_duration_is_entangling_time(self):
-        # rotations are instantaneous, so the entangling step is the protocol
-        seq = protocol_sequence(0.02, 0.005)
-        assert seq.duration == entangling_time(0.02, 0.005)
-        assert len(seq.steps) == 1
-
-
-class TestPulseSequence:
-    def test_rejects_non_positive_duration(self):
-        h = coupling_hamiltonian(0.02, 0.005)
-        with pytest.raises(ValueError):
-            PulseSequence(((h, 0.0),))
-
-    def test_rejects_non_hermitian_generator(self):
-        bad = np.zeros((8, 8), dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            PulseSequence(((bad, 1.0),))
 
 
 class TestGhzFidelity:

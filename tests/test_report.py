@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zenosim import cli, report
 from zenosim.engine import SimulationTrace, ZenoSchedule, run_tunneling, run_unitary, run_zeno
 from zenosim.models import ModelSpec, build_three_level, build_three_level_ideal, build_tunneling
 from zenosim.report import (
@@ -46,11 +47,17 @@ class TestConfigValidation:
         assert cfg.t_total == pytest.approx(5.0)
         assert cfg.model.eta == -0.2
 
-    def test_unknown_key_is_named(self):
-        with pytest.raises(ConfigError, match="omega_typo"):
-            validate_config(
-                {"mode": "three_level_zeno", "omega_typo": 0.05, "n": 50, "dt": 0.1}
-            )
+    # `seed` was accepted and never read; it is now an unknown key like any typo
+    @pytest.mark.parametrize("key", ["omega_typo", "seed"])
+    def test_unknown_key_is_named(self, key, tmp_path, capsys):
+        raw = {"mode": "three_level_zeno", "omega": 0.05, "n": 50, "dt": 0.1, key: 3}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            validate_config(raw)
+        out = tmp_path / "never.csv"
+        path = write_config(tmp_path, **raw, out=str(out))
+        assert cli.main(["three-level-zeno", "--config", path]) == 1
+        assert not out.exists()
+        assert f"unknown config key: '{key}'" in capsys.readouterr().err
 
     def test_key_not_accepted_by_mode(self):
         with pytest.raises(ConfigError, match="gamma.*ghz"):
@@ -255,6 +262,24 @@ class TestSweep:
             assert rec.w_zeno is not None
             assert rec.w_no_zeno is not None
             assert rec.w_tunnel is not None
+
+    def test_n_sweep_runs_tunneling_once(self, monkeypatch):
+        # w_tunnel does not depend on n, so one run serves every point
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_tunneling(*args, **kwargs)
+
+        monkeypatch.setattr(report, "run_tunneling", counting)
+        cfg = validate_config(
+            {"mode": "sweep", "axis": "n", "axis_values": [10, 20, 50],
+             "omega": 0.05, "t_total": 5.0, "gamma": 40.0}
+        )
+        records = sweep(cfg).records
+        assert len(calls) == 1
+        _, direct = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
+        assert [r.w_tunnel for r in records] == [direct.w_tunnel] * 3
 
     def test_tunneling_suppresses_peak_leakage(self):
         # continuous monitoring beats free evolution on peak leak population
@@ -461,6 +486,43 @@ class TestRunScenario:
         assert run_scenario(path) == 0
         w = float(capsys.readouterr().out.strip().split("W=")[1])
         assert w > 0.9999
+
+    # Each mode's config (given `out` where the mode writes a file), and the
+    # names of `report` its run must call.
+    # A tracer wraps these names on the module, so the runners must look them
+    # up at call time rather than hold the functions.
+    MODE_CALLS = {
+        "two_level_zeno": ({"v": 0.1, "n": 5, "dt": 0.1},
+                           ["build_two_level", "run_zeno", "emit_trace_csv"]),
+        "three_level_zeno": ({"omega": OMEGA, "n": 5, "dt": 0.1},
+                             ["build_three_level", "run_zeno", "emit_trace_csv"]),
+        "no_zeno": ({"omega": OMEGA, "t_total": 5.0, "samples": 3},
+                    ["build_three_level", "run_unitary", "emit_trace_csv"]),
+        "tunneling": ({"omega": OMEGA, "gamma": 4.0, "t_total": 1.0, "steps": 10},
+                      ["build_tunneling", "run_tunneling", "emit_trace_csv"]),
+        "ghz": ({"g": 0.02, "g_tilde": 0.005}, ["run_ghz_protocol", "_emit_ghz_csv"]),
+        "sweep": ({"axis": "gamma", "axis_values": [0.0, 4.0], "omega": OMEGA,
+                   "t_total": 1.0, "n": 5},
+                  ["sweep", "build_three_level", "build_tunneling", "run_unitary",
+                   "run_zeno", "run_tunneling", "emit_sweep_csv"]),
+        "ncrit": ({"omega": OMEGA, "t_total": 5.0, "n_max": 3},
+                  ["find_n_crit", "build_three_level", "run_unitary", "run_zeno"]),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODE_CALLS))
+    def test_runners_resolve_names_at_call_time(self, mode, tmp_path, monkeypatch, capsys):
+        keys, names = self.MODE_CALLS[mode]
+        if mode != "ncrit":
+            keys = {**keys, "out": str(tmp_path / "out.csv")}
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            def passthrough(*args, _name=name, _fn=getattr(report, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(report, name, passthrough)
+        assert run_scenario(write_config(tmp_path, mode=mode, **keys)) == 0
+        assert capsys.readouterr().out.startswith(f"mode={mode} ")
+        assert all(counts.values()), counts
 
     def test_modes_tuple_is_complete(self):
         assert set(MODES) == {
