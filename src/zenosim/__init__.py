@@ -16,6 +16,7 @@ from .engine import (
     run_tunneling,
     run_unitary,
     run_zeno,
+    tunneling_end_value,
     two_level_survival_closed_form,
 )
 from .ghz import (
@@ -57,7 +58,7 @@ __all__ = [
     "ZenoSchedule", "SimulationTrace", "SurvivalRecord",
     "PhysicsError", "DegenerateProjectionError",
     "two_level_survival_closed_form",
-    "run_unitary", "run_zeno", "run_tunneling",
+    "run_unitary", "run_zeno", "run_tunneling", "tunneling_end_value",
     "perturbative_step",
     "GhzDiagnostics", "rotation_pulse", "entangling_time",
     "run_ghz_protocol", "ghz_fidelity",

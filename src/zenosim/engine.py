@@ -7,11 +7,13 @@ Three regimes are implemented:
                    of the computational subspace, 1 - p_leak(t);
   * run_zeno       evolution interrupted by n ideal projective measurements
                    of the leak level, conditioned on never detecting it;
-                   survival is the running product of per-step
-                   no-leak probabilities;
+                   survival is the product of per-step no-leak
+                   probabilities, summed as logarithms;
   * run_tunneling  exact evolution under a non-Hermitian Hamiltonian whose
                    top level decays; the state norm shrinks and survival is
                    the population remaining in the two computational levels.
+                   tunneling_end_value gives the final survival alone, from
+                   one propagator over the whole interval.
 
 All runs are deterministic, single-threaded and allocation-local; distinct
 runs may execute concurrently without coordination.
@@ -20,12 +22,14 @@ runs may execute concurrently without coordination.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .linalg import apply, is_hermitian, mat_exp
-from .models import projector_comp
+# `apply` is unused here; bench/traced_child.py wraps engine.apply by name.
+from .linalg import apply, is_hermitian, mat_exp  # noqa: F401
 
 __all__ = [
     "PhysicsError",
@@ -37,6 +41,7 @@ __all__ = [
     "run_unitary",
     "run_zeno",
     "run_tunneling",
+    "tunneling_end_value",
     "perturbative_step",
     "default_tunneling_steps",
 ]
@@ -154,62 +159,67 @@ def run_unitary(h, psi0, t_total: float, samples: int = 101) -> SimulationTrace:
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
-def _computational_projector(dim: int) -> np.ndarray:
-    if dim == 3:
-        return projector_comp(3)
-    if dim == 2:
-        return np.diag([1.0, 0.0]).astype(complex)
-    raise ValueError(f"no computational projector for dim {dim}")
-
-
 def run_zeno(h, psi0, schedule: ZenoSchedule) -> tuple[SimulationTrace, SurvivalRecord]:
     """Evolve-then-measure protocol conditioned on never detecting the leak level.
 
     Each of the n intervals evolves the state by exp(-iH dt); the
-    pre-measurement leak population enters the survival product and the
-    projected, renormalized state continues (and is what the trace records,
-    so the trace leak population is identically zero).
+    pre-measurement leak probability enters the survival and the projected,
+    renormalized state continues (and is what the trace records, so the
+    trace leak population is identically zero).  The leak level is the last
+    one, for the two- and the three-level model alike.
+
+    Survival is summed in the log domain: a running product of the factors
+    1 - leak would round each factor near 1 and lose the small deficit 1 - W.
     """
     hm = np.asarray(h, dtype=complex)
     if not is_hermitian(hm):
         raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
     psi = _check_unit_state(psi0)
     dim = hm.shape[0]
+    if dim not in (2, 3):
+        raise ValueError(f"no computational projector for dim {dim}")
     if psi.shape[0] != dim:
         raise ValueError("dimension mismatch between h and psi0")
-    proj = _computational_projector(dim)
-    leak0 = np.linalg.norm(psi - proj @ psi)
-    if leak0 > 1e-10:
+    if abs(psi[-1]) > 1e-10:
         raise ValueError("psi0 must lie in the monitored (computational) subspace")
 
-    u = mat_exp(hm, -1j * schedule.dt)
+    # Plain Python complex arithmetic: at dim <= 3 a step is a few
+    # microseconds, below the overhead of the numpy calls it replaces.
+    rows = mat_exp(hm, -1j * schedule.dt).tolist()
+    amps = psi.tolist()
     n = schedule.n
-    times = np.empty(n + 1)
-    populations = np.empty((n + 1, dim))
-    survival = np.empty(n + 1)
-
-    times[0] = 0.0
-    populations[0] = np.abs(psi) ** 2
-    survival[0] = 1.0
-
-    running = 1.0
+    populations = array("d", np.abs(psi) ** 2)
+    odds = array("d", [0.0])
     for k in range(1, n + 1):
-        psi = apply(u, psi)
-        kept = proj @ psi
-        leak = float(np.linalg.norm(psi - kept) ** 2)
-        running *= 1.0 - leak
-        nrm = np.linalg.norm(kept)
+        amps = [sum(map(mul, row, amps)) for row in rows]
+        top = amps.pop()
+        top_sq = top.real * top.real + top.imag * top.imag
+        kept = [a.real * a.real + a.imag * a.imag for a in amps]
+        kept_sq = sum(kept)
+        nrm = math.sqrt(kept_sq)
         if nrm < DEGENERATE_NORM:
             raise DegenerateProjectionError(
                 f"certain leakage at step {k}: projected norm {nrm:.3e}"
             )
-        psi = kept / nrm
-        times[k] = k * schedule.dt
-        populations[k] = np.abs(psi) ** 2
-        survival[k] = running
+        odds.append(top_sq / kept_sq)
+        scale = 1.0 / nrm
+        amps = [a * scale for a in amps]
+        amps.append(0j)
+        populations.extend([p / kept_sq for p in kept])
+        populations.append(0.0)
 
-    record = SurvivalRecord(w_zeno=running, n=n)
-    trace = SimulationTrace(times=times, populations=populations, survival=survival)
+    # Each check keeps kept/(kept + top) of the probability, and
+    # log1p(-leak) = -log1p(odds) with odds = top/kept stays exact for a leak
+    # near 0 and finite for one near 1.  exp need not be monotone to the last
+    # ulp, and W must never rise.
+    log_survival = -np.cumsum(np.log1p(np.frombuffer(odds)))
+    survival = np.minimum.accumulate(np.exp(log_survival))
+    record = SurvivalRecord(w_zeno=float(survival[-1]), n=n)
+    trace = SimulationTrace(
+        times=schedule.dt * np.arange(n + 1),
+        populations=np.frombuffer(populations).reshape(n + 1, dim),
+        survival=survival,
+    )
     return trace, record
 
 
@@ -225,14 +235,8 @@ def default_tunneling_steps(gamma: float, t_total: float) -> int:
     return steps
 
 
-def run_tunneling(h_nh, psi0, t_total: float,
-                  steps: int | None = None) -> tuple[SimulationTrace, SurvivalRecord]:
-    """Continuous-measurement evolution under a decaying-level Hamiltonian.
-
-    The state is never renormalized; the lost norm is the probability that
-    the monitored level tunneled out.  Survival is the population of the two
-    computational levels, |a_1|^2 + |a_2|^2.
-    """
+def _check_tunneling(h_nh, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validated (H, psi0, K) for a decaying-level run, K the decay part of H."""
     hm = np.asarray(h_nh, dtype=complex)
     if hm.shape != (3, 3):
         raise ValueError(f"h_nh must be 3x3, got shape {hm.shape}")
@@ -247,7 +251,18 @@ def run_tunneling(h_nh, psi0, t_total: float,
         raise ValueError("psi0 must have norm <= 1")
     if not (math.isfinite(t_total) and t_total > 0):
         raise ValueError(f"t_total must be positive, got {t_total!r}")
+    return hm, psi, decay
 
+
+def run_tunneling(h_nh, psi0, t_total: float,
+                  steps: int | None = None) -> tuple[SimulationTrace, SurvivalRecord]:
+    """Continuous-measurement evolution under a decaying-level Hamiltonian.
+
+    The state is never renormalized; the lost norm is the probability that
+    the monitored level tunneled out.  Survival is the population of the two
+    computational levels, |a_1|^2 + |a_2|^2.
+    """
+    hm, psi, decay = _check_tunneling(h_nh, psi0, t_total)
     if steps is None:
         gamma_eff = 2.0 * float(np.max(np.linalg.eigvalsh(decay)))
         steps = default_tunneling_steps(gamma_eff, t_total)
@@ -265,6 +280,19 @@ def run_tunneling(h_nh, psi0, t_total: float,
     record = SurvivalRecord(w_tunnel=float(survival[-1]))
     trace = SimulationTrace(times=times, populations=populations, survival=survival)
     return trace, record
+
+
+def tunneling_end_value(h_nh, psi0, t_total: float) -> float:
+    """Final survival |a_1|^2 + |a_2|^2 of run_tunneling, from one propagator
+    exp(-iHT) instead of a chain of steps.
+
+    A chain of steps repeats the rounding error of its one-step propagator
+    at every step, which costs digits of the small deficit 1 - W; a sweep
+    needs only this end value.
+    """
+    hm, psi, _ = _check_tunneling(h_nh, psi0, t_total)
+    a1, a2, _ = mat_exp(hm, -1j * t_total) @ psi
+    return float(abs(a1) ** 2 + abs(a2) ** 2)
 
 
 def perturbative_step(a1: complex, a2: complex, omega: float, eta: float,

@@ -27,6 +27,7 @@ from .engine import (
     run_tunneling,
     run_unitary,
     run_zeno,
+    tunneling_end_value,
 )
 from .ghz import entangling_time, run_ghz_protocol
 from .models import ModelSpec, build_three_level, build_tunneling, build_two_level
@@ -192,14 +193,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
             f"missing {sorted(missing)}"
         )
 
-    schedule = entry.check(values)
-    t_total = schedule.t_total if schedule is not None else values.get("t_total")
-
+    # Counts are checked before the mode's own check, which divides by n.
     if values.get("samples", 101) < 2:
         raise ConfigError("samples must be >= 2")
     for key in ("n", "steps", "n_max"):
         if key in values and values[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
+            raise ConfigError(f"{key} must be >= 1, got {values[key]}")
+
+    schedule = entry.check(values)
+    t_total = schedule.t_total if schedule is not None else values.get("t_total")
     if t_total is not None and t_total <= 0:
         raise ConfigError("t_total must be positive")
 
@@ -252,12 +254,14 @@ def _ground_state(dim: int) -> np.ndarray:
 
 def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
                 hamiltonian=None) -> int | None:
-    """Smallest measurement count whose Zeno survival matches or beats the
-    unmeasured single-shot survival at the same total time; None if no
-    n <= n_max qualifies.
+    """Smallest measurement count n >= 2 whose Zeno survival matches or beats
+    the unmeasured single-shot survival at the same total time; None if no
+    n <= n_max qualifies (always when n_max = 1).
 
-    Linear scan from n = 1: the survival is not monotone at small n in
-    general, so bisection would be unsound.
+    n = 1 is left out: one check at T is the unmeasured run read out at T, so
+    its survival equals the baseline exactly and only rounding would decide
+    the comparison.  Linear scan from n = 2: the survival is not monotone at
+    small n in general, so bisection would be unsound.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
@@ -266,7 +270,7 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
         h = build_three_level(model.omega, model.phi, model.eta)
     psi0 = _ground_state(np.asarray(h).shape[0])
     baseline = float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
-    for n in range(1, n_max + 1):
+    for n in range(2, n_max + 1):
         _, record = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
         if record.w_zeno >= baseline:
             return n
@@ -294,8 +298,7 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
 
     @functools.cache
     def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
-        _, record = run_tunneling(build_tunneling(omega, model.eta, gamma), psi0, t_total)
-        return record.w_tunnel
+        return tunneling_end_value(build_tunneling(omega, model.eta, gamma), psi0, t_total)
 
     records = []
     for value in cfg.axis_values:

@@ -96,3 +96,42 @@ def qubit_permutation_operator(perm) -> np.ndarray:
         target = (target_bits[0] << 2) | (target_bits[1] << 1) | target_bits[2]
         p[target, s] = 1.0
     return p
+
+
+# Leak deficits d = 1 - W of the reference scenario (eta = -0.2, T = 5 ns,
+# drive phase -pi/2, start in level 1), quoted to 40 digits from 60-digit
+# mpmath.  The float64 parameters enter exactly.  Generated by:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 60
+#
+#     def hamiltonian(omega, eta, gamma=0.0):
+#         w, s2w = mp.mpf(omega), mp.sqrt(2) * mp.mpf(omega)
+#         return mp.matrix([[0, -1j * w, 0], [1j * w, 0, -1j * s2w],
+#                           [0, 1j * s2w, mp.mpf(eta) - 0.5j * mp.mpf(gamma)]])
+#
+#     def zeno_deficit(omega, eta, t_total, n):
+#         u = mp.expm(-1j * hamiltonian(omega, eta) * mp.mpf(t_total) / n)
+#         m = (mp.diag([1, 1, 0]) * u) ** n
+#         return 1 - sum(abs(m[k, 0]) ** 2 for k in range(3))
+#
+#     def tunneling_deficit(omega, eta, gamma, t_total):
+#         u = mp.expm(-1j * hamiltonian(omega, eta, gamma) * mp.mpf(t_total))
+#         return 1 - abs(u[0, 0]) ** 2 - abs(u[1, 0]) ** 2
+#
+#     print(mp.nstr(zeno_deficit(0.05, -0.2, 5.0, 400), 40))
+#     print(mp.nstr(tunneling_deficit(0.05, -0.2, 40.0, 5.0), 40))  # and so on
+#
+# Zeno survival after n checks at omega = 0.05, keyed by n.
+ZENO_DEFICIT_40 = {
+    400: "6.428755184409321200099802561631733440351e-6",
+    4000: "6.429443829348497977060006359000968030354e-7",
+    40000: "6.429511660936609513021690014551168980124e-8",
+}
+# Continuous tunneling, keyed by (omega, gamma).
+TUNNELING_DEFICIT_40 = {
+    (0.01, 40.0): "8.203201342531194388975576335646079865724e-8",
+    (0.05, 40.0): "5.062003806070079316738480816142947642461e-5",
+    (0.05, 200.0): "1.025467511007946089322700944046920391045e-5",
+    (0.05, 400.0): "5.135479549564841685691634606689823572984e-6",
+}

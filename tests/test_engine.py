@@ -136,6 +136,13 @@ class TestRunZeno:
         trace, record = run_zeno(build_two_level(v), ground_state(2), ZenoSchedule(n, dt))
         assert abs(record.w_zeno - math.cos(v * dt) ** (2 * n)) <= 1e-12
 
+    def test_near_certain_leak_keeps_relative_accuracy(self):
+        # each check keeps cos^2(V dt) ~ 1e-18; 1 - leak would cancel to ~1e-16
+        dt = math.pi / 2 - 1e-9
+        _, record = run_zeno(build_two_level(1.0), ground_state(2), ZenoSchedule(3, dt))
+        exact = math.cos(dt) ** 6
+        assert abs(record.w_zeno - exact) <= 1e-9 * exact
+
     @pytest.mark.parametrize("v,n,dt", [(0.1, 10, 1.0), (0.1, 100, 0.1), (0.5, 50, 0.2)])
     def test_two_level_toy_near_closed_form(self, v, n, dt):
         # closed form drops the (V dt)^4 term of the per-step survival

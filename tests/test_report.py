@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from zenosim import cli, report
-from zenosim.engine import SimulationTrace, ZenoSchedule, run_tunneling, run_unitary, run_zeno
+from zenosim.engine import (
+    SimulationTrace,
+    ZenoSchedule,
+    run_tunneling,
+    run_unitary,
+    run_zeno,
+    tunneling_end_value,
+)
 from zenosim.models import ModelSpec, build_three_level, build_three_level_ideal, build_tunneling
 from zenosim.report import (
     ConfigError,
@@ -58,6 +65,15 @@ class TestConfigValidation:
         assert cli.main(["three-level-zeno", "--config", path]) == 1
         assert not out.exists()
         assert f"unknown config key: '{key}'" in capsys.readouterr().err
+
+    def test_zero_n_with_t_total_is_a_config_error(self, tmp_path, capsys):
+        # t_total / n must not be formed before n is checked
+        out = tmp_path / "never.csv"
+        argv = ["three-level-zeno", "--omega", "0.05", "--n", "0", "--t-total", "5",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "config error: n must be >= 1, got 0\n"
 
     def test_key_not_accepted_by_mode(self):
         with pytest.raises(ConfigError, match="gamma.*ghz"):
@@ -167,24 +183,25 @@ class TestConfigValidation:
 
 
 class TestFindNCrit:
-    def test_ideal_hamiltonian_gives_one(self):
+    def test_ideal_hamiltonian_gives_two(self):
+        # nothing leaks, so every n >= 2 ties the baseline at W = 1
         n = find_n_crit(
             ModelSpec(omega=OMEGA), 5.0, 10,
             hamiltonian=build_three_level_ideal(OMEGA, ETA),
         )
-        assert n == 1
+        assert n == 2
 
     def test_reference_scenario_regression(self):
-        # W^(1) equals the single-shot baseline up to rounding, and this
-        # implementation rounds it onto the >= side
-        assert find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400) == 1
+        # n = 1 is the baseline itself and is not searched; a 60-digit
+        # reference gives d_zeno(2) / d_unitary = 0.651 here
+        assert find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400) == 2
 
     def test_minimality(self):
         model = ModelSpec(omega=OMEGA)
         n_crit = find_n_crit(model, 5.0, 400)
         h = build_three_level(OMEGA, PHI_Y, ETA)
         baseline = run_unitary(h, ground_state(), 5.0, samples=2).survival[-1]
-        for m in range(1, n_crit):
+        for m in range(2, n_crit):
             _, rec = run_zeno(h, ground_state(), ZenoSchedule(m, 5.0 / m))
             assert rec.w_zeno < baseline
         _, rec = run_zeno(h, ground_state(), ZenoSchedule(n_crit, 5.0 / n_crit))
@@ -195,14 +212,12 @@ class TestFindNCrit:
         assert find_n_crit(model, 5.0, 50) == find_n_crit(model, 5.0, 400)
 
     def test_not_found_marker(self):
-        # at these parameters W^(1) rounds one ulp below the baseline, so a
-        # search capped at n_max = 1 honestly finds nothing
+        # n_max = 1 searches nothing, though n = 2 qualifies here
         model = ModelSpec(omega=0.13)
-        h = build_three_level(0.13, model.phi, model.eta)
-        baseline = run_unitary(h, ground_state(), 2.0, samples=2).survival[-1]
-        _, rec = run_zeno(h, ground_state(), ZenoSchedule(1, 2.0))
-        assert rec.w_zeno < baseline  # premise of this regression
         assert find_n_crit(model, 2.0, 1) is None
+        assert find_n_crit(model, 2.0, 2) == 2
+        # a 60-digit reference finds no n <= 50 beating the baseline here
+        assert find_n_crit(ModelSpec(omega=0.0925), 25.1875, 50) is None
 
     def test_rejects_bad_n_max(self):
         with pytest.raises(ValueError):
@@ -264,22 +279,26 @@ class TestSweep:
             assert rec.w_tunnel is not None
 
     def test_n_sweep_runs_tunneling_once(self, monkeypatch):
-        # w_tunnel does not depend on n, so one run serves every point
+        # w_tunnel does not depend on n, so one end value serves every point
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return run_tunneling(*args, **kwargs)
+            return tunneling_end_value(*args, **kwargs)
 
-        monkeypatch.setattr(report, "run_tunneling", counting)
+        monkeypatch.setattr(report, "tunneling_end_value", counting)
         cfg = validate_config(
             {"mode": "sweep", "axis": "n", "axis_values": [10, 20, 50],
              "omega": 0.05, "t_total": 5.0, "gamma": 40.0}
         )
         records = sweep(cfg).records
         assert len(calls) == 1
-        _, direct = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
-        assert [r.w_tunnel for r in records] == [direct.w_tunnel] * 3
+        h = build_tunneling(OMEGA, ETA, 40.0)
+        direct = tunneling_end_value(h, ground_state(), 5.0)
+        assert [r.w_tunnel for r in records] == [direct] * 3
+        # the chained trace of the tunneling mode ends at the same value
+        _, chained = run_tunneling(h, ground_state(), 5.0)
+        assert abs((1 - direct) - (1 - chained.w_tunnel)) <= 1e-6 * (1 - direct)
 
     def test_tunneling_suppresses_peak_leakage(self):
         # continuous monitoring beats free evolution on peak leak population
@@ -458,7 +477,7 @@ class TestRunScenario:
     def test_ncrit_scenario(self, tmp_path, capsys):
         path = write_config(tmp_path, mode="ncrit", omega=0.05, t_total=5.0, n_max=400)
         assert run_scenario(path) == 0
-        assert "n_crit=1" in capsys.readouterr().out
+        assert "n_crit=2" in capsys.readouterr().out
 
     def test_sweep_scenario_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -504,7 +523,7 @@ class TestRunScenario:
         "sweep": ({"axis": "gamma", "axis_values": [0.0, 4.0], "omega": OMEGA,
                    "t_total": 1.0, "n": 5},
                   ["sweep", "build_three_level", "build_tunneling", "run_unitary",
-                   "run_zeno", "run_tunneling", "emit_sweep_csv"]),
+                   "run_zeno", "tunneling_end_value", "emit_sweep_csv"]),
         "ncrit": ({"omega": OMEGA, "t_total": 5.0, "n_max": 3},
                   ["find_n_crit", "build_three_level", "run_unitary", "run_zeno"]),
     }
