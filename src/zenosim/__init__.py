@@ -16,7 +16,6 @@ from .engine import (
     run_tunneling,
     run_unitary,
     run_zeno,
-    tunneling_end_value,
     two_level_survival_closed_form,
 )
 from .ghz import (
@@ -34,7 +33,6 @@ from .models import (
     build_three_level_ideal,
     build_tunneling,
     build_two_level,
-    projector_comp,
 )
 from .report import (
     ConfigError,
@@ -54,11 +52,11 @@ __all__ = [
     "__version__",
     "mat_exp", "apply", "kron", "is_hermitian",
     "ModelSpec", "build_two_level", "build_three_level", "build_three_level_ideal",
-    "build_tunneling", "build_ghz_hamiltonian", "projector_comp",
+    "build_tunneling", "build_ghz_hamiltonian",
     "ZenoSchedule", "SimulationTrace", "SurvivalRecord",
     "PhysicsError", "DegenerateProjectionError",
     "two_level_survival_closed_form",
-    "run_unitary", "run_zeno", "run_tunneling", "tunneling_end_value",
+    "run_unitary", "run_zeno", "run_tunneling",
     "perturbative_step",
     "GhzDiagnostics", "rotation_pulse", "entangling_time",
     "run_ghz_protocol", "ghz_fidelity",

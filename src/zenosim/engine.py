@@ -12,8 +12,13 @@ Three regimes are implemented:
   * run_tunneling  exact evolution under a non-Hermitian Hamiltonian whose
                    top level decays; the state norm shrinks and survival is
                    the population remaining in the two computational levels.
-                   tunneling_end_value gives the final survival alone, from
-                   one propagator over the whole interval.
+
+run_unitary and run_tunneling share one kernel, _evolve: every sample is
+exp(-iHt)|psi0> evaluated directly from t = 0 through one
+eigendecomposition of H (near an exceptional point, through one matrix
+exponential per sample), so no sample carries the rounding of the ones
+before it, and the value at T does not depend on how many samples precede
+it.
 
 All runs are deterministic, single-threaded and allocation-local; distinct
 runs may execute concurrently without coordination.
@@ -41,13 +46,20 @@ __all__ = [
     "run_unitary",
     "run_zeno",
     "run_tunneling",
-    "tunneling_end_value",
     "perturbative_step",
     "default_tunneling_steps",
 ]
 
 # Norm below which a projective measurement outcome is treated as impossible.
 DEGENERATE_NORM = 1e-14
+
+# Largest condition number of the eigenvector matrix V of a non-Hermitian H
+# for which _evolve uses V exp(-i Lambda t) V^-1.  The error of that form in
+# W grows as about 1e-16 * cond(V); near an exceptional point, where two
+# eigenvectors merge, cond(V) diverges (1.5e8 at omega = 0.05,
+# eta = -0.0295, gamma = 0.220), and each sample is formed as
+# mat_exp(H, -it) @ psi0 instead.
+EIGVEC_COND_MAX = 1e4
 
 
 class PhysicsError(RuntimeError):
@@ -130,6 +142,33 @@ def _check_unit_state(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return v
 
 
+def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """States exp(-iHt)|psi0> at each t of times (times[0] = 0), one row each.
+
+    Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition,
+    eigh for Hermitian H and eig otherwise; an ill-conditioned V (see
+    EIGVEC_COND_MAX) takes one mat_exp per row instead.  Row 0 is psi0
+    itself: the eigenbasis round trip would move it by an ulp.
+    """
+    if is_hermitian(h):
+        w, vecs = np.linalg.eigh(h)
+        coef = vecs.conj().T @ psi0
+    else:
+        w, vecs = np.linalg.eig(h)
+        if np.linalg.cond(vecs) > EIGVEC_COND_MAX:
+            # mat_exp(h, 0) is the identity, so row 0 is psi0 here too.
+            return np.array([mat_exp(h, -1j * t) @ psi0 for t in times])
+        coef = np.linalg.solve(vecs, psi0)
+    # In place: at 200,001 samples each temporary of this size is 9.6 MB,
+    # and freed ones stay resident.
+    phases = np.outer(-1j * w, times)
+    np.exp(phases, out=phases)
+    phases *= coef[:, None]
+    states = (vecs @ phases).T
+    states[0] = psi0
+    return states
+
+
 def run_unitary(h, psi0, t_total: float, samples: int = 101) -> SimulationTrace:
     """Exact unmeasured evolution exp(-iHt)|psi0> sampled on a uniform grid.
 
@@ -147,14 +186,8 @@ def run_unitary(h, psi0, t_total: float, samples: int = 101) -> SimulationTrace:
         raise ValueError(f"t_total must be positive, got {t_total!r}")
     samples = _check_count("samples", samples, minimum=2)
 
-    # One eigendecomposition serves every sample instant exactly.
-    w, vecs = np.linalg.eigh(hm)
-    coef = vecs.conj().T @ psi
     times = np.linspace(0.0, t_total, samples)
-    states = (vecs @ (np.exp(-1j * np.outer(w, times)) * coef[:, None])).T
-    # The eigenbasis round trip moves psi(0) by an ulp; t = 0 is exact.
-    states[0] = psi
-    populations = np.abs(states) ** 2
+    populations = np.abs(_evolve(hm, psi, times)) ** 2
     survival = 1.0 - populations[:, -1]
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
@@ -224,10 +257,11 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> tuple[SimulationTrace, Survival
 
 
 def default_tunneling_steps(gamma: float, t_total: float) -> int:
-    """Sub-step count keeping each step below 0.01/gamma, floored at 1000.
+    """Sample count of a tunneling trace: one sample per 0.01/gamma, at
+    least 1000.
 
-    The chained propagator is exact for constant H, so the grid only sets
-    the sampling density of the trace.
+    Every sample is exact at its own time, so the count sets only the
+    sampling density of the trace; the value at T is the same for any count.
     """
     steps = 1000
     if gamma > 0:
@@ -235,14 +269,21 @@ def default_tunneling_steps(gamma: float, t_total: float) -> int:
     return steps
 
 
-def _check_tunneling(h_nh, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validated (H, psi0, K) for a decaying-level run, K the decay part of H."""
+def run_tunneling(h_nh, psi0, t_total: float,
+                  steps: int | None = None) -> tuple[SimulationTrace, SurvivalRecord]:
+    """Continuous-measurement evolution under a decaying-level Hamiltonian,
+    sampled at steps + 1 evenly spaced times.
+
+    The state is never renormalized; the lost norm is the probability that
+    the monitored level tunneled out.  Survival is the population of the two
+    computational levels, |a_1|^2 + |a_2|^2.
+    """
     hm = np.asarray(h_nh, dtype=complex)
     if hm.shape != (3, 3):
         raise ValueError(f"h_nh must be 3x3, got shape {hm.shape}")
     # Decay part K from H = H_herm - iK; gain (negative eigenvalue of K) is invalid.
-    decay = 0.5j * (hm - hm.conj().T)
-    if np.min(np.linalg.eigvalsh(decay)) < -1e-12:
+    decay_rates = np.linalg.eigvalsh(0.5j * (hm - hm.conj().T))
+    if decay_rates[0] < -1e-12:
         raise ValueError("anti-Hermitian part has gain; decay rates must be >= 0")
     psi = np.asarray(psi0, dtype=complex)
     if psi.shape != (3,):
@@ -251,48 +292,16 @@ def _check_tunneling(h_nh, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray
         raise ValueError("psi0 must have norm <= 1")
     if not (math.isfinite(t_total) and t_total > 0):
         raise ValueError(f"t_total must be positive, got {t_total!r}")
-    return hm, psi, decay
-
-
-def run_tunneling(h_nh, psi0, t_total: float,
-                  steps: int | None = None) -> tuple[SimulationTrace, SurvivalRecord]:
-    """Continuous-measurement evolution under a decaying-level Hamiltonian.
-
-    The state is never renormalized; the lost norm is the probability that
-    the monitored level tunneled out.  Survival is the population of the two
-    computational levels, |a_1|^2 + |a_2|^2.
-    """
-    hm, psi, decay = _check_tunneling(h_nh, psi0, t_total)
     if steps is None:
-        gamma_eff = 2.0 * float(np.max(np.linalg.eigvalsh(decay)))
-        steps = default_tunneling_steps(gamma_eff, t_total)
+        steps = default_tunneling_steps(2.0 * float(decay_rates[-1]), t_total)
     steps = _check_count("steps", steps)
 
-    delta = t_total / steps
-    u = mat_exp(hm, -1j * delta)
     times = np.linspace(0.0, t_total, steps + 1)
-    populations = np.empty((steps + 1, 3))
-    populations[0] = np.abs(psi) ** 2
-    for k in range(1, steps + 1):
-        psi = u @ psi
-        populations[k] = np.abs(psi) ** 2
+    populations = np.abs(_evolve(hm, psi, times)) ** 2
     survival = populations[:, 0] + populations[:, 1]
     record = SurvivalRecord(w_tunnel=float(survival[-1]))
     trace = SimulationTrace(times=times, populations=populations, survival=survival)
     return trace, record
-
-
-def tunneling_end_value(h_nh, psi0, t_total: float) -> float:
-    """Final survival |a_1|^2 + |a_2|^2 of run_tunneling, from one propagator
-    exp(-iHT) instead of a chain of steps.
-
-    A chain of steps repeats the rounding error of its one-step propagator
-    at every step, which costs digits of the small deficit 1 - W; a sweep
-    needs only this end value.
-    """
-    hm, psi, _ = _check_tunneling(h_nh, psi0, t_total)
-    a1, a2, _ = mat_exp(hm, -1j * t_total) @ psi
-    return float(abs(a1) ** 2 + abs(a2) ** 2)
 
 
 def perturbative_step(a1: complex, a2: complex, omega: float, eta: float,

@@ -1,4 +1,4 @@
-"""Hamiltonian and projector builders.
+"""Hamiltonian builders.
 
 Covers the driven two-level system, the resonantly driven three-level qubit
 in the rotating frame (with and without the leakage channel, with and
@@ -34,7 +34,6 @@ __all__ = [
     "build_three_level_ideal",
     "build_tunneling",
     "build_ghz_hamiltonian",
-    "projector_comp",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -173,10 +172,3 @@ def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
             h += 0.5 * g * (_embed(i, SIGMA_Y) @ _embed(j, SIGMA_Y))
             h += 0.5 * g_tilde * (_embed(i, SIGMA_Z) @ _embed(j, SIGMA_Z))
     return h
-
-
-def projector_comp(dim: int) -> np.ndarray:
-    """Projector onto the computational subspace {|1>, |2>} of a qutrit."""
-    if dim != 3:
-        raise ValueError(f"computational-subspace projector supports dim 3, got {dim}")
-    return np.diag([1.0, 1.0, 0.0]).astype(complex)

@@ -27,7 +27,6 @@ from .engine import (
     run_tunneling,
     run_unitary,
     run_zeno,
-    tunneling_end_value,
 )
 from .ghz import entangling_time, run_ghz_protocol
 from .models import ModelSpec, build_three_level, build_tunneling, build_two_level
@@ -253,10 +252,11 @@ def _ground_state(dim: int) -> np.ndarray:
 
 
 def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
-                hamiltonian=None) -> int | None:
-    """Smallest measurement count n >= 2 whose Zeno survival matches or beats
-    the unmeasured single-shot survival at the same total time; None if no
-    n <= n_max qualifies (always when n_max = 1).
+                hamiltonian=None) -> SurvivalRecord | None:
+    """Zeno record of the smallest measurement count n >= 2 whose survival
+    matches or beats the unmeasured single-shot survival at the same total
+    time (its `n` is that count); None if no n <= n_max qualifies (always
+    when n_max = 1).
 
     n = 1 is left out: one check at T is the unmeasured run read out at T, so
     its survival equals the baseline exactly and only rounding would decide
@@ -273,7 +273,7 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
     for n in range(2, n_max + 1):
         _, record = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
         if record.w_zeno >= baseline:
-            return n
+            return record
     return None
 
 
@@ -298,7 +298,8 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
 
     @functools.cache
     def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
-        return tunneling_end_value(build_tunneling(omega, model.eta, gamma), psi0, t_total)
+        h = build_tunneling(omega, model.eta, gamma)
+        return run_tunneling(h, psi0, t_total, steps=1)[1].w_tunnel
 
     records = []
     for value in cfg.axis_values:
@@ -422,14 +423,10 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 
 
 def _run_ncrit(cfg: ScenarioConfig) -> str:
-    model = cfg.model
-    n_crit = find_n_crit(model, cfg.t_total, cfg.n_max)
-    if n_crit is None:
+    record = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
+    if record is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
-    h = build_three_level(model.omega, model.phi, model.eta)
-    schedule = ZenoSchedule(n=n_crit, dt=cfg.t_total / n_crit)
-    _, record = run_zeno(h, _ground_state(3), schedule)
-    return f"T={_fmt(cfg.t_total)} n_crit={n_crit} W={_fmt(record.w_zeno)}"
+    return f"T={_fmt(cfg.t_total)} n_crit={record.n} W={_fmt(record.w_zeno)}"
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,13 @@ ZENO_DEFICIT_40 = {
 # Continuous tunneling, keyed by (omega, gamma).
 TUNNELING_DEFICIT_40 = {
     (0.01, 40.0): "8.203201342531194388975576335646079865724e-8",
+    (0.01, 400.0): "8.316638697202718516692892953766297871146e-9",
     (0.05, 40.0): "5.062003806070079316738480816142947642461e-5",
     (0.05, 200.0): "1.025467511007946089322700944046920391045e-5",
     (0.05, 400.0): "5.135479549564841685691634606689823572984e-6",
 }
+# Continuous tunneling at an exceptional point of H, where two eigenvectors
+# merge: omega = 0.05, eta/omega ~ -0.590, gamma/omega ~ 4.404, T = 5 ns.
+EXCEPTIONAL_POINT = {"omega": 0.05, "eta": -0.02949899198927462,
+                     "gamma": 0.22018347375208064, "t_total": 5.0}
+EXCEPTIONAL_POINT_DEFICIT_40 = "1.645403720792723070089781857229351035273e-3"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -92,6 +93,37 @@ class TestMain:
         )
         assert main(["tunneling", "--config", path]) == 0
         assert "mode=tunneling" in capsys.readouterr().out
+
+
+# sha256 of the bytes each run writes: its CSV, or for ncrit its stdout.
+# Any change to these outputs, down to the last of 17 digits, is a change of
+# the CLI contract and must show here.  Taken with numpy 2.4 on OpenBLAS.
+BYTE_CONTRACT = {
+    "no_zeno": (["no-zeno", "--omega", "0.05", "--t-total", "5"],
+                "2070f8c871aa82991921310dfc988fa3b5f65a0090791a7d3e1ffb958aa160ea"),
+    "ghz": (["ghz", "--g", "0.02", "--g-tilde", "0.005"],
+            "24965e27ba14922ef2ec2fbb5beaaf7e0f51489715bd06579b54615c6dea7439"),
+    "three_level_zeno": (["three-level-zeno", "--omega", "0.05", "--n", "400",
+                          "--t-total", "5"],
+                         "4b463bb7aedb25e4089f8567e46dcae14ebb4cc9dc7e94395fb72aac496267a7"),
+    "ncrit": (["ncrit"],
+              "d6ccbf4cf9c820e9bbfc84aa01494afbcb6a65a0f1efbdb864fc0e2d04c3676e"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(BYTE_CONTRACT))
+def test_output_bytes_are_pinned(mode, tmp_path, capsys):
+    argv, digest = BYTE_CONTRACT[mode]
+    if mode == "ncrit":
+        # n_max has no flag
+        config = write_config(tmp_path, omega=0.13, t_total=2.0, n_max=50)
+        assert main(argv + ["--config", config]) == 0
+        blob = capsys.readouterr().out.encode()
+    else:
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        blob = out.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_module_entry_point(tmp_path):

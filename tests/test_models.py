@@ -11,7 +11,6 @@ from zenosim.models import (
     build_three_level_ideal,
     build_tunneling,
     build_two_level,
-    projector_comp,
 )
 
 from oracles import brute_force_three_qubit_h, qubit_permutation_operator
@@ -101,7 +100,7 @@ class TestThreeLevelIdeal:
 
     def test_commutes_with_projector(self):
         ideal = build_three_level_ideal(OMEGA, ETA)
-        p = projector_comp(3)
+        p = np.diag([1, 1, 0])
         np.testing.assert_allclose(ideal @ p, p @ ideal, atol=1e-15)
 
 
@@ -164,25 +163,6 @@ class TestGhzHamiltonian:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             build_ghz_hamiltonian(np.zeros((2, 3)), 0.0, 0.0)
-
-
-class TestProjector:
-    def test_idempotent(self):
-        p = projector_comp(3)
-        np.testing.assert_array_equal(p @ p, p)
-
-    def test_annihilates_leak_level(self):
-        np.testing.assert_array_equal(
-            projector_comp(3) @ np.array([0, 0, 1.0]), np.zeros(3)
-        )
-
-    def test_complements_leak_projector(self):
-        p3 = np.diag([0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(projector_comp(3) + p3, np.eye(3))
-
-    def test_rejects_unsupported_dim(self):
-        with pytest.raises(ValueError):
-            projector_comp(2)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from zenosim.engine import (
     run_tunneling,
     run_unitary,
     run_zeno,
-    tunneling_end_value,
 )
 from zenosim.models import ModelSpec, build_three_level, build_three_level_ideal, build_tunneling
 from zenosim.report import (
@@ -185,20 +184,21 @@ class TestConfigValidation:
 class TestFindNCrit:
     def test_ideal_hamiltonian_gives_two(self):
         # nothing leaks, so every n >= 2 ties the baseline at W = 1
-        n = find_n_crit(
+        record = find_n_crit(
             ModelSpec(omega=OMEGA), 5.0, 10,
             hamiltonian=build_three_level_ideal(OMEGA, ETA),
         )
-        assert n == 2
+        assert record.n == 2 and record.w_zeno == 1.0
 
     def test_reference_scenario_regression(self):
         # n = 1 is the baseline itself and is not searched; a 60-digit
         # reference gives d_zeno(2) / d_unitary = 0.651 here
-        assert find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400) == 2
+        assert find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400).n == 2
 
     def test_minimality(self):
         model = ModelSpec(omega=OMEGA)
-        n_crit = find_n_crit(model, 5.0, 400)
+        found = find_n_crit(model, 5.0, 400)
+        n_crit = found.n
         h = build_three_level(OMEGA, PHI_Y, ETA)
         baseline = run_unitary(h, ground_state(), 5.0, samples=2).survival[-1]
         for m in range(2, n_crit):
@@ -206,6 +206,7 @@ class TestFindNCrit:
             assert rec.w_zeno < baseline
         _, rec = run_zeno(h, ground_state(), ZenoSchedule(n_crit, 5.0 / n_crit))
         assert rec.w_zeno >= baseline
+        assert found.w_zeno == rec.w_zeno
 
     def test_invariant_under_raising_n_max(self):
         model = ModelSpec(omega=OMEGA)
@@ -215,7 +216,7 @@ class TestFindNCrit:
         # n_max = 1 searches nothing, though n = 2 qualifies here
         model = ModelSpec(omega=0.13)
         assert find_n_crit(model, 2.0, 1) is None
-        assert find_n_crit(model, 2.0, 2) == 2
+        assert find_n_crit(model, 2.0, 2).n == 2
         # a 60-digit reference finds no n <= 50 beating the baseline here
         assert find_n_crit(ModelSpec(omega=0.0925), 25.1875, 50) is None
 
@@ -284,21 +285,18 @@ class TestSweep:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return tunneling_end_value(*args, **kwargs)
+            return run_tunneling(*args, **kwargs)
 
-        monkeypatch.setattr(report, "tunneling_end_value", counting)
+        monkeypatch.setattr(report, "run_tunneling", counting)
         cfg = validate_config(
             {"mode": "sweep", "axis": "n", "axis_values": [10, 20, 50],
              "omega": 0.05, "t_total": 5.0, "gamma": 40.0}
         )
         records = sweep(cfg).records
         assert len(calls) == 1
-        h = build_tunneling(OMEGA, ETA, 40.0)
-        direct = tunneling_end_value(h, ground_state(), 5.0)
-        assert [r.w_tunnel for r in records] == [direct] * 3
-        # the chained trace of the tunneling mode ends at the same value
-        _, chained = run_tunneling(h, ground_state(), 5.0)
-        assert abs((1 - direct) - (1 - chained.w_tunnel)) <= 1e-6 * (1 - direct)
+        # the tunneling mode's full trace ends at the same value, bit for bit
+        _, direct = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
+        assert [r.w_tunnel for r in records] == [direct.w_tunnel] * 3
 
     def test_tunneling_suppresses_peak_leakage(self):
         # continuous monitoring beats free evolution on peak leak population
@@ -479,6 +477,20 @@ class TestRunScenario:
         assert run_scenario(path) == 0
         assert "n_crit=2" in capsys.readouterr().out
 
+    def test_ncrit_reuses_the_search_record(self, tmp_path, monkeypatch, capsys):
+        # the W printed is the one find_n_crit computed, not a second run
+        counts = []
+
+        def counting(h, psi0, schedule):
+            counts.append(schedule.n)
+            return run_zeno(h, psi0, schedule)
+
+        monkeypatch.setattr(report, "run_zeno", counting)
+        path = write_config(tmp_path, mode="ncrit", omega=0.13, t_total=2.0, n_max=50)
+        assert run_scenario(path) == 0
+        assert counts == [2]
+        assert capsys.readouterr().out == "mode=ncrit T=2 n_crit=2 W=0.99861669885619075\n"
+
     def test_sweep_scenario_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         path = write_config(
@@ -523,7 +535,7 @@ class TestRunScenario:
         "sweep": ({"axis": "gamma", "axis_values": [0.0, 4.0], "omega": OMEGA,
                    "t_total": 1.0, "n": 5},
                   ["sweep", "build_three_level", "build_tunneling", "run_unitary",
-                   "run_zeno", "tunneling_end_value", "emit_sweep_csv"]),
+                   "run_zeno", "run_tunneling", "emit_sweep_csv"]),
         "ncrit": ({"omega": OMEGA, "t_total": 5.0, "n_max": 3},
                   ["find_n_crit", "build_three_level", "run_unitary", "run_zeno"]),
     }
