@@ -20,6 +20,11 @@ exponential per sample), so no sample carries the rounding of the ones
 before it, and the value at T does not depend on how many samples precede
 it.
 
+A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
+(run_tunneling, steps defaulting to default_tunneling_steps).  The CLI's
+row budget counts the same rows before a run (report._MODES[mode].rows), so
+a change to how a run samples must be made there too.
+
 All runs are deterministic, single-threaded and allocation-local; distinct
 runs may execute concurrently without coordination.
 """

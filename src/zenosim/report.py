@@ -10,12 +10,15 @@ round-trips float64 exactly and keeps regression diffs meaningful.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from .engine import (
     SimulationTrace,
     SurvivalRecord,
     ZenoSchedule,
+    default_tunneling_steps,
     run_tunneling,
     run_unitary,
     run_zeno,
@@ -48,6 +52,12 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
+
+
+# The most rows one engine run of a scenario may build (about 350 MB of
+# engine arrays at ~176 bytes per row); a config above it is rejected before
+# anything is allocated.
+MAX_TRACE_ROWS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    rows = entry.rows(values)
+    if rows > MAX_TRACE_ROWS:
+        raise ConfigError(
+            f"mode {mode!r} would build {rows} rows in one run; "
+            f"the limit is {MAX_TRACE_ROWS}"
+        )
+
     return ScenarioConfig(
         mode=mode,
         model=model,
@@ -324,12 +341,69 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_lines(path, lines) -> None:
+# Rows formatted per `%` call when a trace is written.
+_BLOCK_ROWS = 4096
+
+
+def _write_csv(path, header: str, chunks: Iterable[str]) -> None:
+    """Write `header`, a newline and then each text chunk to `path`.
+
+    A regular or missing target is written to a new file beside it that then
+    replaces it, so a write that fails in this process leaves no partial file
+    and any earlier file untouched; a symlink is followed first, a new file
+    gets the mode `open(path, "w")` would give it, and an old one keeps its
+    mode.  Any other target (a FIFO, a device, a pipe reached through
+    `/dev/fd/N`) is written in place, as is a file whose resolved name no
+    longer leads to it.
+    """
+    tmp = None
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # Stat the path as given: a /dev/fd/N link to a pipe resolves to no name.
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            st = None
+        target = os.path.realpath(path)
+        if st is not None and not (stat.S_ISREG(st.st_mode) and _names(target, st)):
+            fh = open(path, "w", encoding="utf-8", newline="")
+        else:
+            tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            fh = open(fd, "w", encoding="utf-8", newline="")
+        with fh:
+            if tmp is not None and st is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            fh.write(header + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
+        if tmp is not None:
+            os.replace(tmp, target)
+            tmp = None
     except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
+        # Name the target, not the file beside it.
+        reason = exc if exc.filename is None else OSError(exc.errno, exc.strerror, os.fspath(path))
+        raise OSError(f"failed writing {path}: {reason}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _names(target: str, st: os.stat_result) -> bool:
+    """Whether the path `target` is the file `st` describes."""
+    try:
+        return os.path.samestat(os.stat(target), st)
+    except OSError:
+        return False
+
+
+def _format_blocks(table: np.ndarray) -> Iterator[str]:
+    """Yield a float table as CSV text, `_BLOCK_ROWS` rows per `%` call;
+    `%.17g` writes the same digits as `_fmt`."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def emit_trace_csv(trace: SimulationTrace, path) -> None:
@@ -338,35 +412,28 @@ def emit_trace_csv(trace: SimulationTrace, path) -> None:
     n_rows, dim = trace.populations.shape
     if dim > 3:
         raise ValueError(f"trace CSV holds at most three levels, got dim {dim}")
-    lines = ["t,p1,p2,p3,W"]
-    for k in range(n_rows):
-        pops = list(trace.populations[k]) + [0.0] * (3 - dim)
-        lines.append(
-            f"{_fmt(trace.times[k])},{_fmt(pops[0])},{_fmt(pops[1])},"
-            f"{_fmt(pops[2])},{_fmt(trace.survival[k])}"
-        )
-    _write_lines(path, lines)
+    table = np.zeros((n_rows, 5))
+    table[:, 0] = trace.times
+    table[:, 1:1 + dim] = trace.populations
+    table[:, 4] = trace.survival
+    _write_csv(path, "t,p1,p2,p3,W", _format_blocks(table))
 
 
 def emit_sweep_csv(result: SweepResult, path) -> None:
     """Write sweep records as `axis_value,w_zeno,w_no_zeno,w_tunnel` rows;
     undefined variants are left empty."""
-    lines = ["axis_value,w_zeno,w_no_zeno,w_tunnel"]
-    for value, rec in zip(result.grid, result.records):
-        cells = [_fmt(value)]
-        for w in (rec.w_zeno, rec.w_no_zeno, rec.w_tunnel):
-            cells.append("" if w is None else _fmt(w))
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    _write_csv(path, "axis_value,w_zeno,w_no_zeno,w_tunnel", (
+        ",".join([_fmt(value)] + ["" if w is None else _fmt(w)
+                                  for w in (rec.w_zeno, rec.w_no_zeno, rec.w_tunnel)]) + "\n"
+        for value, rec in zip(result.grid, result.records)
+    ))
 
 
 def _emit_ghz_csv(psi: np.ndarray, path) -> None:
-    lines = ["basis,re,im,p"]
-    for k, amp in enumerate(psi):
-        lines.append(
-            f"{k:03b},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs(amp) ** 2)}"
-        )
-    _write_lines(path, lines)
+    _write_csv(path, "basis,re,im,p", (
+        f"{k:03b},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs(amp) ** 2)}\n"
+        for k, amp in enumerate(psi)
+    ))
 
 
 def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace, w: float) -> str:
@@ -433,30 +500,53 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
 class _Mode:
     """One mode: the keys it accepts besides `mode`, the keys it requires, the
     runner that writes its CSV (when `out` is set) and returns the summary after
-    `mode=<name>`, and a check of the coerced values that returns the schedule
-    a Zeno mode runs on."""
+    `mode=<name>`, a check of the coerced values that returns the schedule
+    a Zeno mode runs on, and the rows its largest engine run builds."""
 
     keys: set[str]
     required: set[str]
     run: Callable[[ScenarioConfig], str]
     check: Callable[[dict], ZenoSchedule | None] = lambda values: None
+    rows: Callable[[dict], float] = lambda values: 0
+
+
+def _zeno_rows(values: dict) -> int:
+    return values["n"] + 1
+
+
+def _tunneling_rows(values: dict) -> float:
+    if "steps" in values:
+        return values["steps"] + 1
+    try:
+        return default_tunneling_steps(values["gamma"], values["t_total"]) + 1
+    except OverflowError:  # gamma * t_total is past the float range
+        return math.inf
+
+
+def _sweep_rows(values: dict) -> int:
+    # Only the Zeno runs build more than two rows; the largest n sets the size.
+    n = max(values["axis_values"]) if values["axis"] == "n" else values.get("n", 1)
+    return int(n) + 1
 
 
 _MODES = {
     "two_level_zeno": _Mode({"v", "n", "dt", "t_total", "out"}, {"v", "n"},
-                            _run_two_level_zeno, _resolve_schedule),
+                            _run_two_level_zeno, _resolve_schedule, _zeno_rows),
     "three_level_zeno": _Mode({"omega", "phi", "eta", "n", "dt", "t_total", "out"},
-                              {"omega", "n"}, _run_three_level_zeno, _resolve_schedule),
+                              {"omega", "n"}, _run_three_level_zeno, _resolve_schedule,
+                              _zeno_rows),
     "no_zeno": _Mode({"omega", "phi", "eta", "t_total", "samples", "out"},
-                     {"omega", "t_total"}, _run_no_zeno),
+                     {"omega", "t_total"}, _run_no_zeno,
+                     rows=lambda values: values.get("samples", 101)),
     "tunneling": _Mode({"omega", "eta", "gamma", "t_total", "steps", "out"},
-                       {"omega", "gamma", "t_total"}, _run_tunneling),
+                       {"omega", "gamma", "t_total"}, _run_tunneling, rows=_tunneling_rows),
     "ghz": _Mode({"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
     "sweep": _Mode({"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total",
-                    "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep),
+                    "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep, _sweep_rows),
     # ncrit has no file output, so it takes no `out`.
     "ncrit": _Mode({"omega", "phi", "eta", "t_total", "n_max"},
-                   {"omega", "t_total", "n_max"}, _run_ncrit),
+                   {"omega", "t_total", "n_max"}, _run_ncrit,
+                   rows=lambda values: values["n_max"] + 1),
 }
 
 MODES = tuple(_MODES)

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
+import zenosim
 from zenosim.cli import build_parser, main
 
 from test_engine import FROZEN_W_ZENO
@@ -98,32 +101,65 @@ class TestMain:
 # sha256 of the bytes each run writes: its CSV, or for ncrit its stdout.
 # Any change to these outputs, down to the last of 17 digits, is a change of
 # the CLI contract and must show here.  Taken with numpy 2.4 on OpenBLAS.
+# Each entry: flags, config keys for what has no flag (or None), digest.
 BYTE_CONTRACT = {
-    "no_zeno": (["no-zeno", "--omega", "0.05", "--t-total", "5"],
+    "no_zeno": (["no-zeno", "--omega", "0.05", "--t-total", "5"], None,
                 "2070f8c871aa82991921310dfc988fa3b5f65a0090791a7d3e1ffb958aa160ea"),
-    "ghz": (["ghz", "--g", "0.02", "--g-tilde", "0.005"],
+    "ghz": (["ghz", "--g", "0.02", "--g-tilde", "0.005"], None,
             "24965e27ba14922ef2ec2fbb5beaaf7e0f51489715bd06579b54615c6dea7439"),
     "three_level_zeno": (["three-level-zeno", "--omega", "0.05", "--n", "400",
-                          "--t-total", "5"],
+                          "--t-total", "5"], None,
                          "4b463bb7aedb25e4089f8567e46dcae14ebb4cc9dc7e94395fb72aac496267a7"),
-    "ncrit": (["ncrit"],
+    "ncrit": (["ncrit"], {"omega": 0.13, "t_total": 2.0, "n_max": 50},
               "d6ccbf4cf9c820e9bbfc84aa01494afbcb6a65a0f1efbdb864fc0e2d04c3676e"),
+    # two-level traces pad p3 with zero
+    "two_level_zeno": (["two-level-zeno", "--n", "50", "--t-total", "5"], {"v": 0.1},
+                       "ec6b0573e016aeb45885cefb873d058cfda88ef71088052baa2444d7526b1254"),
+    # default steps: 20,001 rows
+    "tunneling": (["tunneling", "--omega", "0.05", "--gamma", "40", "--t-total", "5"], None,
+                  "912a48046acf0dca0e73b9c76644d96984c80fd91ed6014473ec225c006264cd"),
+    # no n, so every w_zeno cell is empty
+    "sweep": (["sweep"], {"axis": "gamma", "axis_values": [0.0, 40.0, 400.0],
+                          "omega": 0.05, "t_total": 5.0},
+              "d1e1de8750ddf3af4468cc46c1b0756b4b5eebc43c10e79a1ec01d3e3191abaf"),
 }
 
 
 @pytest.mark.parametrize("mode", sorted(BYTE_CONTRACT))
 def test_output_bytes_are_pinned(mode, tmp_path, capsys):
-    argv, digest = BYTE_CONTRACT[mode]
+    argv, config, digest = BYTE_CONTRACT[mode]
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, **config)]
     if mode == "ncrit":
-        # n_max has no flag
-        config = write_config(tmp_path, omega=0.13, t_total=2.0, n_max=50)
-        assert main(argv + ["--config", config]) == 0
+        assert main(argv) == 0
         blob = capsys.readouterr().out.encode()
     else:
         out = tmp_path / "out.csv"
         assert main(argv + ["--out", str(out)]) == 0
         blob = out.read_bytes()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_failed_write_leaves_the_earlier_file(tmp_path):
+    # The file size limit makes the child's write fail part-way with EFBIG
+    # (CPython ignores SIGXFSZ); the 20,001-row CSV is far past 64 KiB.
+    limit = 64 * 1024
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    out = run_dir / "existing.csv"
+    out.write_bytes(b"t,p1,p2,p3,W\n0,1,0,0,1\n")
+    src = os.path.dirname(os.path.dirname(zenosim.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "zenosim.cli", "tunneling", "--omega", "0.05",
+         "--gamma", "40", "--t-total", "5", "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+    )
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith(f"i/o error: failed writing {out}: ")
+    assert out.read_bytes() == b"t,p1,p2,p3,W\n0,1,0,0,1\n"
+    assert os.listdir(run_dir) == ["existing.csv"]
 
 
 def test_module_entry_point(tmp_path):

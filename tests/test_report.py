@@ -1,5 +1,9 @@
+import errno
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -161,6 +165,49 @@ class TestConfigValidation:
                 {"mode": "sweep", "axis": "gamma", "axis_values": [-1.0, 2.0],
                  "omega": 0.05, "t_total": 5.0}
             )
+
+    # Each config and the rows its largest engine run builds.
+    ROW_BUDGET_CASES = [
+        ({"mode": "two_level_zeno", "v": 0.1, "n": 7, "dt": 0.1}, 8),
+        ({"mode": "three_level_zeno", "omega": OMEGA, "n": 7, "t_total": 5.0}, 8),
+        ({"mode": "no_zeno", "omega": OMEGA, "t_total": 5.0}, 101),
+        ({"mode": "no_zeno", "omega": OMEGA, "t_total": 5.0, "samples": 7}, 7),
+        ({"mode": "tunneling", "omega": OMEGA, "gamma": 40.0, "t_total": 5.0}, 20001),
+        ({"mode": "tunneling", "omega": OMEGA, "gamma": 40.0, "t_total": 5.0, "steps": 7}, 8),
+        ({"mode": "sweep", "axis": "n", "axis_values": [2, 5, 7], "omega": OMEGA,
+          "t_total": 5.0}, 8),
+        ({"mode": "sweep", "axis": "gamma", "axis_values": [0.0, 40.0], "omega": OMEGA,
+          "t_total": 5.0, "n": 7}, 8),
+        ({"mode": "sweep", "axis": "gamma", "axis_values": [0.0, 40.0], "omega": OMEGA,
+          "t_total": 5.0}, 2),
+        ({"mode": "ncrit", "omega": OMEGA, "t_total": 5.0, "n_max": 7}, 8),
+    ]
+
+    @pytest.mark.parametrize("raw,rows", ROW_BUDGET_CASES,
+                             ids=[f"{raw['mode']}-{rows}" for raw, rows in ROW_BUDGET_CASES])
+    def test_row_budget_counts_the_rows_a_run_builds(self, raw, rows, monkeypatch):
+        monkeypatch.setattr(report, "MAX_TRACE_ROWS", rows)
+        validate_config(raw)
+        monkeypatch.setattr(report, "MAX_TRACE_ROWS", rows - 1)
+        with pytest.raises(ConfigError, match=f"{rows} rows.*limit is {rows - 1}"):
+            validate_config(raw)
+
+    def test_row_budget_rejects_an_overflowing_default_steps(self):
+        # 100 * gamma * t_total is inf, which the default steps cannot round
+        raw = {"mode": "tunneling", "omega": OMEGA, "gamma": 1e300, "t_total": 1e300}
+        with pytest.raises(ConfigError, match="inf rows"):
+            validate_config(raw)
+
+    def test_row_budget_rejects_before_running(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(report, "MAX_TRACE_ROWS", 1000)
+        monkeypatch.setattr(report, "run_tunneling", None)  # never reached
+        out = tmp_path / "never.csv"
+        argv = ["tunneling", "--omega", "0.05", "--gamma", "40", "--t-total", "5",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "20001" in err and "1000" in err
 
     def test_load_config_round_trip(self, tmp_path):
         path = write_config(tmp_path, mode="ghz", g=0.02, g_tilde=0.005)
@@ -395,6 +442,101 @@ class TestTraceCsv:
         missing = tmp_path / "no_such_dir" / "x.csv"
         with pytest.raises(OSError, match="no_such_dir"):
             emit_trace_csv(trace, missing)
+
+
+class TestCsvWriter:
+    """The writer all three CSV emitters share."""
+
+    @staticmethod
+    def small_trace():
+        return run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0, samples=101)
+
+    def expected_bytes(self, tmp_path):
+        path = tmp_path / "expected" / "t.csv"
+        path.parent.mkdir()
+        emit_trace_csv(self.small_trace(), path)
+        return path.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier output\n")
+
+        def one_block_then_fail(table):
+            yield "0,1,0,0,1\n"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(report, "_format_blocks", one_block_then_fail)
+        with pytest.raises(OSError, match=r"failed writing .*out\.csv: .*No space"):
+            emit_trace_csv(self.small_trace(), out)
+        assert out.read_bytes() == b"earlier output\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        with open(tmp_path / "by_open", "w"):
+            pass
+        emit_trace_csv(self.small_trace(), tmp_path / "new.csv")
+        mode = stat.S_IMODE(os.stat(tmp_path / "new.csv").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "by_open").st_mode)
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x")
+        out.chmod(0o640)
+        emit_trace_csv(self.small_trace(), out)
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+
+    def test_symlink_target_is_updated(self, tmp_path):
+        expected = self.expected_bytes(tmp_path)
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"earlier output\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        emit_trace_csv(self.small_trace(), link)
+        assert link.is_symlink() and os.readlink(link) == "real.csv"
+        assert real.read_bytes() == expected
+        assert sorted(os.listdir(tmp_path)) == ["expected", "link.csv", "real.csv"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        expected = self.expected_bytes(tmp_path)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+
+        def read_all():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        emit_trace_csv(self.small_trace(), fifo)
+        reader.join(timeout=30)
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["expected", "pipe"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_through_dev_fd_is_written_in_place(self, tmp_path, capsys):
+        # `--out /dev/stdout | gzip` or `--out >(...)`: the /dev/fd/N link of
+        # a pipe names no file on disk, so it can only be written in place.
+        expected = self.expected_bytes(tmp_path)
+        r, w = os.pipe()
+        received = []
+
+        def read_all():
+            with open(r, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        reader.start()
+        try:
+            status = run_scenario(mode="no_zeno", overrides={
+                "omega": OMEGA, "t_total": 5.0, "out": f"/dev/fd/{w}"})
+        finally:
+            os.close(w)
+        reader.join(timeout=30)
+        assert status == 0, capsys.readouterr().err
+        assert received == [expected]
+        assert os.listdir(tmp_path) == ["expected"]
 
 
 class TestSweepCsv:
