@@ -12,8 +12,6 @@ import sys
 
 from .report import MODES, run_scenario
 
-_OVERRIDE_KEYS = ("omega", "eta", "gamma", "dt", "n", "g", "g_tilde", "t_total", "out")
-
 
 def _add_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON scenario file")
@@ -64,8 +62,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; that slot is reserved for
         # runtime/physics failures, so fold usage errors into config errors
         return 0 if exc.code == 0 else 1
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS}
-    return run_scenario(config_path=args.config, mode=args.mode, overrides=overrides)
+    overrides = vars(args)  # every option but --config and the mode is a config key
+    return run_scenario(overrides.pop("config"), overrides.pop("mode"), overrides)
 
 
 if __name__ == "__main__":

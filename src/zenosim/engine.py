@@ -39,7 +39,7 @@ from operator import mul
 import numpy as np
 
 # `apply` is unused here; bench/traced_child.py wraps engine.apply by name.
-from .linalg import apply, is_hermitian, mat_exp  # noqa: F401
+from .linalg import _check_exponent, apply, is_hermitian, mat_exp  # noqa: F401
 
 __all__ = [
     "PhysicsError",
@@ -155,15 +155,13 @@ def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     EIGVEC_COND_MAX) takes one mat_exp per row instead.  Row 0 is psi0
     itself: the eigenbasis round trip would move it by an ulp.
     """
-    if is_hermitian(h):
-        w, vecs = np.linalg.eigh(h)
-        coef = vecs.conj().T @ psi0
-    else:
-        w, vecs = np.linalg.eig(h)
-        if np.linalg.cond(vecs) > EIGVEC_COND_MAX:
-            # mat_exp(h, 0) is the identity, so row 0 is psi0 here too.
-            return np.array([mat_exp(h, -1j * t) @ psi0 for t in times])
-        coef = np.linalg.solve(vecs, psi0)
+    hermitian = is_hermitian(h)
+    w, vecs = np.linalg.eigh(h) if hermitian else np.linalg.eig(h)
+    _check_exponent(w, float(times[-1]))
+    if not hermitian and np.linalg.cond(vecs) > EIGVEC_COND_MAX:
+        # mat_exp(h, 0) is the identity, so row 0 is psi0 here too.
+        return np.array([mat_exp(h, -1j * t) @ psi0 for t in times])
+    coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
     # In place: at 200,001 samples each temporary of this size is 9.6 MB,
     # and freed ones stay resident.
     phases = np.outer(-1j * w, times)
@@ -270,7 +268,10 @@ def default_tunneling_steps(gamma: float, t_total: float) -> int:
     """
     steps = 1000
     if gamma > 0:
-        steps = max(steps, math.ceil(100.0 * gamma * t_total))
+        wanted = 100.0 * gamma * t_total
+        if not math.isfinite(wanted):
+            raise ValueError(f"100 * gamma * t_total = {wanted} is past the float range")
+        steps = max(steps, math.ceil(wanted))
     return steps
 
 

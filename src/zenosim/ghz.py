@@ -24,7 +24,6 @@ __all__ = [
     "GhzDiagnostics",
     "rotation_pulse",
     "entangling_time",
-    "coupling_hamiltonian",
     "run_ghz_protocol",
     "ghz_fidelity",
 ]
@@ -48,8 +47,6 @@ class GhzDiagnostics:
 def rotation_pulse(axis: str, theta: float) -> np.ndarray:
     """Simultaneous single-qubit rotation exp(-i theta/2 sigma_axis) on all
     three qubits, as an 8x8 unitary."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
     generators = {"x": SIGMA_X, "y": SIGMA_Y}
     key = str(axis).lower()
     if key not in generators:
@@ -67,18 +64,13 @@ def entangling_time(g: float, g_tilde: float) -> float:
     return math.pi / (2.0 * abs(g - g_tilde))
 
 
-def coupling_hamiltonian(g: float, g_tilde: float) -> np.ndarray:
-    """Coupling-only Hamiltonian (all drives off)."""
-    return build_ghz_hamiltonian(np.zeros((3, 3)), g, g_tilde)
-
-
 def run_ghz_protocol(g: float, g_tilde: float) -> tuple[np.ndarray, GhzDiagnostics]:
     """Run X_{pi/2} U_int Y_{pi/2} on |000> and diagnose the result."""
     psi = np.zeros(8, dtype=complex)
     psi[0] = 1.0
     psi = apply(rotation_pulse("y", math.pi / 2), psi)
-    entangle = mat_exp(coupling_hamiltonian(g, g_tilde), -1j * entangling_time(g, g_tilde))
-    psi = apply(entangle, psi)
+    h = build_ghz_hamiltonian(np.zeros((3, 3)), g, g_tilde)  # drives off
+    psi = apply(mat_exp(h, -1j * entangling_time(g, g_tilde)), psi)
     psi = apply(rotation_pulse("x", math.pi / 2), psi)
     return psi, ghz_fidelity(psi)
 

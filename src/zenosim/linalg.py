@@ -42,6 +42,14 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
+def _check_exponent(w: np.ndarray, scale: float) -> None:
+    """Raise ValueError if an exponent s*w_k, scale = |Re s| + |Im s|, overflows."""
+    # Python floats: an overflowing product is inf, with no numpy warning.
+    part = float(np.abs(w.view(float)).max())
+    if not np.isfinite(part * scale):
+        raise ValueError(f"exponent {part:.6g} * {scale:.6g} is past the float range")
+
+
 def _expm_scaling_squaring(b: np.ndarray, terms: int = 24) -> np.ndarray:
     # Scale so the series argument has norm <= 0.5, Horner-evaluate the
     # truncated exponential series, then square back up.
@@ -73,6 +81,7 @@ def mat_exp(a, s: complex = 1.0) -> np.ndarray:
         raise ValueError("scalar s must be finite")
     if is_hermitian(m):
         w, v = np.linalg.eigh(m)
+        _check_exponent(w, abs(s.real) + abs(s.imag))
         return (v * np.exp(s * w)) @ v.conj().T
     return _expm_scaling_squaring(s * m)
 

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron
+# `kron` is unused here; bench/traced_child.py wraps models.kron by name.
+from .linalg import kron  # noqa: F401
 
 __all__ = [
     "DEFAULT_ETA",
     "DEFAULT_PHI",
     "SIGMA_X",
     "SIGMA_Y",
-    "SIGMA_Z",
-    "IDENTITY_2",
     "ModelSpec",
     "build_two_level",
     "build_three_level",
@@ -38,8 +37,6 @@ __all__ = [
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Typical phase/transmon-like anharmonicity magnitude; scenarios may override.
 DEFAULT_ETA = -0.2
@@ -139,12 +136,6 @@ def build_tunneling(omega: float, eta: float, gamma: float) -> np.ndarray:
     return h
 
 
-def _embed(qubit: int, op: np.ndarray) -> np.ndarray:
-    factors = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
-    factors[qubit] = op
-    return kron(kron(factors[0], factors[1]), factors[2])
-
-
 def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
     """Fully connected three-qubit Hamiltonian.
 
@@ -152,6 +143,11 @@ def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
         + (1/2) sum_{i<j} [ g (X_i X_j + Y_i Y_j) + g_tilde Z_i Z_j ]
 
     omega_vecs: three 3-vectors of per-qubit drive components (x, y, z).
+
+    Written entry by entry: in basis state k, qubit i (qubit 1 the high bit)
+    has z_i = 1 - 2 bit_i(k).  The Omega_z and ZZ terms are diagonal,
+    Omega_x + i z_i Omega_y links k to k with bit i flipped, and g links k to
+    k with two unequal bits swapped.
     """
     _require_finite(g=g, g_tilde=g_tilde)
     vecs = np.asarray(omega_vecs, dtype=float)
@@ -160,15 +156,18 @@ def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
     if not np.all(np.isfinite(vecs)):
         raise ValueError("omega_vecs has non-finite entries")
 
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    # g/2 and g_tilde/2 summed as the sum of Pauli products sums them: same bits.
+    xy, zz = 0.5 * g, 0.5 * g_tilde
     h = np.zeros((8, 8), dtype=complex)
-    for i in range(3):
-        for a in range(3):
-            if vecs[i, a] != 0.0:
-                h += vecs[i, a] * _embed(i, paulis[a])
-    for i in range(3):
-        for j in range(i + 1, 3):
-            h += 0.5 * g * (_embed(i, SIGMA_X) @ _embed(j, SIGMA_X))
-            h += 0.5 * g * (_embed(i, SIGMA_Y) @ _embed(j, SIGMA_Y))
-            h += 0.5 * g_tilde * (_embed(i, SIGMA_Z) @ _embed(j, SIGMA_Z))
+    for k in range(8):
+        z = [1.0 - 2.0 * (k >> (2 - i) & 1) for i in range(3)]
+        diag = 0.0
+        for i, (ox, oy, oz) in enumerate(vecs.tolist()):
+            diag += oz * z[i]
+            h[k ^ (4 >> i), k] += complex(ox, z[i] * oy)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            diag += zz * z[i] * z[j]
+            if z[i] != z[j]:
+                h[k ^ (4 >> i) ^ (4 >> j), k] += xy + xy
+        h[k, k] = diag
     return h

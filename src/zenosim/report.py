@@ -268,8 +268,7 @@ def _ground_state(dim: int) -> np.ndarray:
     return psi
 
 
-def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
-                hamiltonian=None) -> SurvivalRecord | None:
+def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SurvivalRecord | None:
     """Zeno record of the smallest measurement count n >= 2 whose survival
     matches or beats the unmeasured single-shot survival at the same total
     time (its `n` is that count); None if no n <= n_max qualifies (always
@@ -282,10 +281,8 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int,
     """
     if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
-    h = hamiltonian
-    if h is None:
-        h = build_three_level(model.omega, model.phi, model.eta)
-    psi0 = _ground_state(np.asarray(h).shape[0])
+    h = build_three_level(model.omega, model.phi, model.eta)
+    psi0 = _ground_state(3)
     baseline = float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
     for n in range(2, n_max + 1):
         _, record = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
@@ -354,7 +351,8 @@ def _write_csv(path, header: str, chunks: Iterable[str]) -> None:
     gets the mode `open(path, "w")` would give it, and an old one keeps its
     mode.  Any other target (a FIFO, a device, a pipe reached through
     `/dev/fd/N`) is written in place, as is a file whose resolved name no
-    longer leads to it.
+    longer leads to it.  A target that is this process's stdout is written
+    through `sys.stdout`, so the summary printed after it follows the CSV.
     """
     tmp = None
     try:
@@ -364,18 +362,20 @@ def _write_csv(path, header: str, chunks: Iterable[str]) -> None:
         except FileNotFoundError:
             st = None
         target = os.path.realpath(path)
-        if st is not None and not (stat.S_ISREG(st.st_mode) and _names(target, st)):
+        if st is not None and _is_file(1, st):
+            fh = contextlib.nullcontext(sys.stdout)
+        elif st is not None and not (stat.S_ISREG(st.st_mode) and _is_file(target, st)):
             fh = open(path, "w", encoding="utf-8", newline="")
         else:
             tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             fh = open(fd, "w", encoding="utf-8", newline="")
-        with fh:
+        with fh as out:
             if tmp is not None and st is not None:
-                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
-            fh.write(header + "\n")
-            for chunk in chunks:
-                fh.write(chunk)
+                os.fchmod(out.fileno(), stat.S_IMODE(st.st_mode))
+            out.write(header + "\n")
+            out.writelines(chunks)
+            out.flush()
         if tmp is not None:
             os.replace(tmp, target)
             tmp = None
@@ -389,8 +389,8 @@ def _write_csv(path, header: str, chunks: Iterable[str]) -> None:
                 os.unlink(tmp)
 
 
-def _names(target: str, st: os.stat_result) -> bool:
-    """Whether the path `target` is the file `st` describes."""
+def _is_file(target, st: os.stat_result) -> bool:
+    """Whether `target`, a path or a file descriptor, is the file `st` describes."""
     try:
         return os.path.samestat(os.stat(target), st)
     except OSError:
@@ -519,7 +519,7 @@ def _tunneling_rows(values: dict) -> float:
         return values["steps"] + 1
     try:
         return default_tunneling_steps(values["gamma"], values["t_total"]) + 1
-    except OverflowError:  # gamma * t_total is past the float range
+    except ValueError:  # gamma * t_total is past the float range
         return math.inf
 
 

@@ -4,7 +4,8 @@ Nothing here may call into zenosim's propagator paths: the matrix
 exponential is a plain truncated Taylor sum (no scaling, no
 eigendecomposition), the fine-step integrator is a fourth-order Taylor
 stepper driven by matrix powers, and the three-qubit Hamiltonian is built
-by basis-index bookkeeping instead of Kronecker algebra.
+both by basis-index bookkeeping and by Kronecker algebra, so whichever way
+the package builds it, one oracle takes the other way.
 """
 
 from __future__ import annotations
@@ -82,6 +83,42 @@ def brute_force_three_qubit_h(omega_vecs, g: float, g_tilde: float) -> np.ndarra
                     # (XX + YY)/2 exchanges |01> and |10>
                     swapped = s ^ (1 << (2 - i)) ^ (1 << (2 - j))
                     h[swapped, s] += g
+    return h
+
+
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _embed(qubit: int, op: np.ndarray) -> np.ndarray:
+    factors = [np.eye(2, dtype=complex)] * 3
+    factors[qubit] = op
+    return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+
+def kron_three_qubit_h(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
+    """8x8 three-qubit Hamiltonian summed from Kronecker-embedded Paulis.
+
+    Terms are added in a fixed order: every nonzero drive term, qubit by
+    qubit and x, y, z, then per pair i < j the XX, YY and ZZ couplings.  With
+    the drives off every entry is then a sum of exact +-g/2 and +-g_tilde/2
+    terms onto zero, which pins the builder's output bit for bit.
+    """
+    vecs = np.asarray(omega_vecs, dtype=float)
+    x, y, z = _PAULIS
+    h = np.zeros((8, 8), dtype=complex)
+    for i in range(3):
+        for a in range(3):
+            if vecs[i, a] != 0.0:
+                h += vecs[i, a] * _embed(i, _PAULIS[a])
+    for i in range(3):
+        for j in range(i + 1, 3):
+            h += 0.5 * g * (_embed(i, x) @ _embed(j, x))
+            h += 0.5 * g * (_embed(i, y) @ _embed(j, y))
+            h += 0.5 * g_tilde * (_embed(i, z) @ _embed(j, z))
     return h
 
 

@@ -107,6 +107,9 @@ BYTE_CONTRACT = {
                 "2070f8c871aa82991921310dfc988fa3b5f65a0090791a7d3e1ffb958aa160ea"),
     "ghz": (["ghz", "--g", "0.02", "--g-tilde", "0.005"], None,
             "24965e27ba14922ef2ec2fbb5beaaf7e0f51489715bd06579b54615c6dea7439"),
+    # opposite signs: the ZZ diagonal and the XY swap entries differ in sign
+    "ghz_opposite_couplings": (["ghz", "--g", "0.01", "--g-tilde", "-0.01"], None,
+                               "bbbcd2e74c263a07a3dbf5f509bbe1327ddda6541cad6528a623b75140e2d8e5"),
     "three_level_zeno": (["three-level-zeno", "--omega", "0.05", "--n", "400",
                           "--t-total", "5"], None,
                          "4b463bb7aedb25e4089f8567e46dcae14ebb4cc9dc7e94395fb72aac496267a7"),
@@ -140,6 +143,15 @@ def test_output_bytes_are_pinned(mode, tmp_path, capsys):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def run_cli(args, cwd, **kwargs):
+    """Run `python -m zenosim.cli ARGS` in a child with this package on its path."""
+    src = os.path.dirname(os.path.dirname(zenosim.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "zenosim.cli", *args], cwd=cwd, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"), **kwargs,
+    )
+
+
 def test_failed_write_leaves_the_earlier_file(tmp_path):
     # The file size limit makes the child's write fail part-way with EFBIG
     # (CPython ignores SIGXFSZ); the 20,001-row CSV is far past 64 KiB.
@@ -148,18 +160,55 @@ def test_failed_write_leaves_the_earlier_file(tmp_path):
     run_dir.mkdir()
     out = run_dir / "existing.csv"
     out.write_bytes(b"t,p1,p2,p3,W\n0,1,0,0,1\n")
-    src = os.path.dirname(os.path.dirname(zenosim.__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "zenosim.cli", "tunneling", "--omega", "0.05",
-         "--gamma", "40", "--t-total", "5", "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
+    result = run_cli(
+        ["tunneling", "--omega", "0.05", "--gamma", "40", "--t-total", "5", "--out", str(out)],
+        tmp_path, capture_output=True, text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
     )
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith(f"i/o error: failed writing {out}: ")
     assert out.read_bytes() == b"t,p1,p2,p3,W\n0,1,0,0,1\n"
     assert os.listdir(run_dir) == ["existing.csv"]
+
+
+# Runs whose phase |lambda| * t is past the float range: flags, config keys.
+OVERFLOWING_PHASE = {
+    "no_zeno": (["no-zeno", "--omega", "0.05", "--eta", "1e308", "--t-total", "5"], None),
+    "three_level_zeno": (["three-level-zeno", "--omega", "0.05", "--eta", "1e308", "--n", "1",
+                          "--t-total", "5"], None),
+    "tunneling": (["tunneling", "--omega", "0.05", "--eta=-1e308", "--gamma", "1",
+                   "--t-total", "5"], None),
+    "sweep": (["sweep"], {"axis": "omega", "axis_values": [0.01, 0.02], "eta": 1e308,
+                          "n": 2, "t_total": 5.0}),
+    "ncrit": (["ncrit", "--omega", "0.05", "--eta", "1e308", "--t-total", "5"], {"n_max": 5}),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(OVERFLOWING_PHASE))
+def test_phase_past_the_float_range_is_one_runtime_error(mode, tmp_path):
+    argv, config = OVERFLOWING_PHASE[mode]
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, **config)]
+    if mode != "ncrit":  # ncrit writes no file
+        argv = argv + ["--out", "out.csv"]
+    result = run_cli(argv, tmp_path, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("runtime error: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_out_dev_stdout_into_a_file_keeps_the_summary(tmp_path):
+    flags = ["no-zeno", "--omega", "0.05", "--t-total", "5"]
+    assert main(flags + ["--out", str(tmp_path / "named.csv")]) == 0
+    redirected = tmp_path / "redirected"
+    with open(redirected, "wb") as fh:
+        result = run_cli(flags + ["--out", "/dev/stdout"], tmp_path, stdout=fh)
+    assert result.returncode == 0
+    csv = (tmp_path / "named.csv").read_bytes()
+    assert redirected.read_bytes() == csv + b"mode=no_zeno T=5 W=0.99820994523156426\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -245,6 +245,19 @@ class TestRunTunneling:
         assert default_tunneling_steps(0.0, 5.0) == 1000
         assert default_tunneling_steps(40.0, 5.0) == 20000
 
+    def test_default_steps_past_the_float_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="past the float range"):
+            run_tunneling(build_tunneling(0.05, -0.2, 1e300), [1, 0, 0], 1e300)
+
+    @pytest.mark.filterwarnings("error")
+    def test_phase_past_the_float_range_is_a_value_error(self):
+        # |lambda| * t = 1e308 * 5: exp of that phase would be NaN
+        h = build_tunneling(OMEGA, -1e308, 1.0)
+        with pytest.raises(ValueError, match="past the float range"):
+            run_tunneling(h, ground_state(3), 5.0, steps=10)
+        with pytest.raises(ValueError, match="past the float range"):
+            run_unitary(build_three_level(OMEGA, PHI_Y, 1e308), ground_state(3), 5.0)
+
 
 class TestPerturbativeStep:
     def test_ground_start_leak_amplitude(self):

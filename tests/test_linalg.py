@@ -81,6 +81,13 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_phase_past_the_float_range(self):
+        h = np.diag([1e308, 0.0])
+        assert np.all(np.isfinite(mat_exp(h, -1j)))
+        with pytest.raises(ValueError, match="past the float range"):
+            mat_exp(h, -2j)
+
 
 class TestApply:
     def test_identity(self):

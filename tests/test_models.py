@@ -13,7 +13,7 @@ from zenosim.models import (
     build_two_level,
 )
 
-from oracles import brute_force_three_qubit_h, qubit_permutation_operator
+from oracles import brute_force_three_qubit_h, kron_three_qubit_h, qubit_permutation_operator
 
 OMEGA, PHI_Y, ETA = 0.05, -math.pi / 2, -0.2
 
@@ -142,6 +142,32 @@ class TestGhzHamiltonian:
         np.testing.assert_allclose(
             h, brute_force_three_qubit_h(vecs, 0.02, 0.005), atol=1e-14
         )
+
+    def test_coupling_matrix_is_bitwise_the_kronecker_sum(self):
+        # The three pairs of acceptance criterion 7, signed zeros, subnormals,
+        # equal couplings, then seeded pairs over 14 decades and both signs.
+        pairs = [(0.02, 0.005), (0.03, 0.01), (0.01, -0.01), (0.0, 0.0), (-0.0, 0.5),
+                 (-0.0, -0.0), (5e-324, 0.01), (3e-323, -7e-324), (0.02, 0.02)]
+        rng = np.random.default_rng(2008)
+        magnitudes = 10.0 ** rng.uniform(-12.0, 2.0, size=(200, 2))
+        pairs += (magnitudes * rng.choice([-1.0, 1.0], size=(200, 2))).tolist()
+
+        def bits(h):
+            return np.stack([h.real.view(np.uint64), h.imag.view(np.uint64)])
+
+        zero = np.zeros((3, 3))
+        differ = [(g, g_tilde) for g, g_tilde in pairs
+                  if not np.array_equal(bits(build_ghz_hamiltonian(zero, g, g_tilde)),
+                                        bits(kron_three_qubit_h(zero, g, g_tilde)))]
+        assert differ == []
+
+    def test_driven_matrix_matches_the_kronecker_sum(self):
+        rng = np.random.default_rng(78)
+        for _ in range(50):
+            vecs = rng.uniform(-1.0, 1.0, size=(3, 3))
+            g, g_tilde = rng.uniform(-1.0, 1.0, size=2)
+            h = build_ghz_hamiltonian(vecs, g, g_tilde)
+            assert np.max(np.abs(h - kron_three_qubit_h(vecs, g, g_tilde))) <= 1e-15
 
     def test_symmetric_two_excitation_eigenvector(self):
         h = brute_force_three_qubit_h(np.zeros((3, 3)), 0.02, 0.005)

@@ -16,7 +16,7 @@ from zenosim.engine import (
     run_unitary,
     run_zeno,
 )
-from zenosim.models import ModelSpec, build_three_level, build_three_level_ideal, build_tunneling
+from zenosim.models import ModelSpec, build_three_level, build_tunneling
 from zenosim.report import (
     ConfigError,
     MODES,
@@ -229,14 +229,6 @@ class TestConfigValidation:
 
 
 class TestFindNCrit:
-    def test_ideal_hamiltonian_gives_two(self):
-        # nothing leaks, so every n >= 2 ties the baseline at W = 1
-        record = find_n_crit(
-            ModelSpec(omega=OMEGA), 5.0, 10,
-            hamiltonian=build_three_level_ideal(OMEGA, ETA),
-        )
-        assert record.n == 2 and record.w_zeno == 1.0
-
     def test_reference_scenario_regression(self):
         # n = 1 is the baseline itself and is not searched; a 60-digit
         # reference gives d_zeno(2) / d_unitary = 0.651 here
