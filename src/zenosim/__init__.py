@@ -10,7 +10,6 @@ from .engine import (
     DegenerateProjectionError,
     PhysicsError,
     SimulationTrace,
-    SurvivalRecord,
     ZenoSchedule,
     perturbative_step,
     run_tunneling,
@@ -53,7 +52,7 @@ __all__ = [
     "mat_exp", "apply", "kron", "is_hermitian",
     "ModelSpec", "build_two_level", "build_three_level", "build_three_level_ideal",
     "build_tunneling", "build_ghz_hamiltonian",
-    "ZenoSchedule", "SimulationTrace", "SurvivalRecord",
+    "ZenoSchedule", "SimulationTrace",
     "PhysicsError", "DegenerateProjectionError",
     "two_level_survival_closed_form",
     "run_unitary", "run_zeno", "run_tunneling",

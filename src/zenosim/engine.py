@@ -20,6 +20,7 @@ exponential per sample), so no sample carries the rounding of the ones
 before it, and the value at T does not depend on how many samples precede
 it.
 
+Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
 (run_tunneling, steps defaulting to default_tunneling_steps).  The CLI's
 row budget counts the same rows before a run (report._MODES[mode].rows), so
@@ -46,7 +47,6 @@ __all__ = [
     "DegenerateProjectionError",
     "ZenoSchedule",
     "SimulationTrace",
-    "SurvivalRecord",
     "two_level_survival_closed_form",
     "run_unitary",
     "run_zeno",
@@ -112,16 +112,6 @@ class SimulationTrace:
     times: np.ndarray
     populations: np.ndarray
     survival: np.ndarray
-
-
-@dataclass
-class SurvivalRecord:
-    """Final survival probabilities of a run; None where the variant is undefined."""
-
-    w_zeno: float | None = None
-    w_no_zeno: float | None = None
-    w_tunnel: float | None = None
-    n: int | None = None
 
 
 def two_level_survival_closed_form(v: float, t_total: float, n: int) -> float:
@@ -195,7 +185,7 @@ def run_unitary(h, psi0, t_total: float, samples: int = 101) -> SimulationTrace:
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
-def run_zeno(h, psi0, schedule: ZenoSchedule) -> tuple[SimulationTrace, SurvivalRecord]:
+def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     """Evolve-then-measure protocol conditioned on never detecting the leak level.
 
     Each of the n intervals evolves the state by exp(-iH dt); the
@@ -250,13 +240,11 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> tuple[SimulationTrace, Survival
     # ulp, and W must never rise.
     log_survival = -np.cumsum(np.log1p(np.frombuffer(odds)))
     survival = np.minimum.accumulate(np.exp(log_survival))
-    record = SurvivalRecord(w_zeno=float(survival[-1]), n=n)
-    trace = SimulationTrace(
+    return SimulationTrace(
         times=schedule.dt * np.arange(n + 1),
         populations=np.frombuffer(populations).reshape(n + 1, dim),
         survival=survival,
     )
-    return trace, record
 
 
 def default_tunneling_steps(gamma: float, t_total: float) -> int:
@@ -275,8 +263,7 @@ def default_tunneling_steps(gamma: float, t_total: float) -> int:
     return steps
 
 
-def run_tunneling(h_nh, psi0, t_total: float,
-                  steps: int | None = None) -> tuple[SimulationTrace, SurvivalRecord]:
+def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None) -> SimulationTrace:
     """Continuous-measurement evolution under a decaying-level Hamiltonian,
     sampled at steps + 1 evenly spaced times.
 
@@ -305,9 +292,7 @@ def run_tunneling(h_nh, psi0, t_total: float,
     times = np.linspace(0.0, t_total, steps + 1)
     populations = np.abs(_evolve(hm, psi, times)) ** 2
     survival = populations[:, 0] + populations[:, 1]
-    record = SurvivalRecord(w_tunnel=float(survival[-1]))
-    trace = SimulationTrace(times=times, populations=populations, survival=survival)
-    return trace, record
+    return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
 def perturbative_step(a1: complex, a2: complex, omega: float, eta: float,

@@ -61,7 +61,11 @@ def entangling_time(g: float, g_tilde: float) -> float:
         raise ValueError("couplings must be finite")
     if g == g_tilde:
         raise ValueError("entangling time diverges for g == g_tilde")
-    return math.pi / (2.0 * abs(g - g_tilde))
+    duration = math.pi / (2.0 * abs(g - g_tilde))
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"entangling time pi / (2|g - g_tilde|) = {duration} is not finite "
+                         f"and positive for g = {g!r}, g_tilde = {g_tilde!r}")
+    return duration
 
 
 def run_ghz_protocol(g: float, g_tilde: float) -> tuple[np.ndarray, GhzDiagnostics]:

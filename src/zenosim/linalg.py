@@ -54,10 +54,12 @@ def _expm_scaling_squaring(b: np.ndarray, terms: int = 24) -> np.ndarray:
     # Scale so the series argument has norm <= 0.5, Horner-evaluate the
     # truncated exponential series, then square back up.
     norm = np.linalg.norm(b, np.inf)
+    if not np.isfinite(norm):
+        raise ValueError("norm of s*A is past the float range")
     k = 0
     if norm > 0.5:
         k = int(np.ceil(np.log2(norm))) + 1
-    c = b / (2.0**k)
+    c = b * 2.0**-k  # 2.0**k overflows for a norm above 2**1022
     eye = np.eye(b.shape[0], dtype=complex)
     out = eye.copy()
     for j in range(terms, 0, -1):
@@ -73,17 +75,24 @@ def mat_exp(a, s: complex = 1.0) -> np.ndarray:
     Hermitian A is exponentiated through its eigendecomposition (exact up to
     the eigensolver), so anti-Hermitian arguments s*A yield unitaries to
     machine precision.  Non-Hermitian A (decaying levels) falls back to
-    scaling-and-squaring.
+    scaling-and-squaring.  A result past the float range raises ValueError.
     """
     m = _as_square(a)
     s = complex(s)
     if not (np.isfinite(s.real) and np.isfinite(s.imag)):
         raise ValueError("scalar s must be finite")
-    if is_hermitian(m):
-        w, v = np.linalg.eigh(m)
-        _check_exponent(w, abs(s.real) + abs(s.imag))
-        return (v * np.exp(s * w)) @ v.conj().T
-    return _expm_scaling_squaring(s * m)
+    # s*A, its norm, an exponential or a squared-up product may pass the
+    # float range; each then holds inf or nan, raised on instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if is_hermitian(m):
+            w, v = np.linalg.eigh(m)
+            _check_exponent(w, abs(s.real) + abs(s.imag))
+            out = (v * np.exp(s * w)) @ v.conj().T
+        else:
+            out = _expm_scaling_squaring(s * m)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("exp(s*A) is past the float range")
+    return out
 
 
 def apply(u, psi) -> np.ndarray:

@@ -25,7 +25,6 @@ import numpy as np
 from .engine import (
     PhysicsError,
     SimulationTrace,
-    SurvivalRecord,
     ZenoSchedule,
     default_tunneling_steps,
     run_tunneling,
@@ -80,7 +79,8 @@ class ScenarioConfig:
 
 @dataclass
 class SweepResult:
-    """One survival record per grid point, in grid order."""
+    """One (w_zeno, w_no_zeno, w_tunnel) survival tuple per grid point, in grid
+    order; None where the variant is undefined."""
 
     axis: str
     grid: tuple
@@ -165,6 +165,8 @@ def _check_sweep(values: dict) -> None:
     need = _SWEEP_AXIS_REQUIRED[axis] - values.keys()
     if need:
         raise ConfigError(f"sweep over {axis!r} requires keys {sorted(need)}")
+    if axis == "dt" and "t_total" in values:
+        raise ConfigError("sweep over 'dt' takes no 't_total': each point runs to T = n*dt")
     diffs = np.diff(values["axis_values"])
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("axis_values must be strictly monotone")
@@ -268,11 +270,11 @@ def _ground_state(dim: int) -> np.ndarray:
     return psi
 
 
-def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SurvivalRecord | None:
-    """Zeno record of the smallest measurement count n >= 2 whose survival
+def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SimulationTrace | None:
+    """Zeno trace of the smallest measurement count n >= 2 whose survival
     matches or beats the unmeasured single-shot survival at the same total
-    time (its `n` is that count); None if no n <= n_max qualifies (always
-    when n_max = 1).
+    time (n is its row count less one); None if no n <= n_max qualifies
+    (always when n_max = 1).
 
     n = 1 is left out: one check at T is the unmeasured run read out at T, so
     its survival equals the baseline exactly and only rounding would decide
@@ -285,18 +287,19 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SurvivalRecord 
     psi0 = _ground_state(3)
     baseline = float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
     for n in range(2, n_max + 1):
-        _, record = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
-        if record.w_zeno >= baseline:
-            return record
+        trace = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
+        if trace.survival[-1] >= baseline:
+            return trace
     return None
 
 
 def sweep(cfg: ScenarioConfig) -> SweepResult:
-    """Run the engine along the configured axis, one record per grid point.
+    """Run the engine along the configured axis, one tuple per grid point.
 
-    Each record carries every survival variant the configuration defines:
-    w_no_zeno always, w_zeno when a measurement count is available, w_tunnel
-    when a tunneling rate is available.  Points run in grid order.
+    Each tuple (w_zeno, w_no_zeno, w_tunnel) carries every survival variant
+    the configuration defines: w_no_zeno always, w_zeno when a measurement
+    count is available, w_tunnel when a tunneling rate is available.  Points
+    run in grid order.
     """
     if cfg.mode != "sweep":
         raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r}")
@@ -313,7 +316,7 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     @functools.cache
     def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
         h = build_tunneling(omega, model.eta, gamma)
-        return run_tunneling(h, psi0, t_total, steps=1)[1].w_tunnel
+        return float(run_tunneling(h, psi0, t_total, steps=1).survival[-1])
 
     records = []
     for value in cfg.axis_values:
@@ -322,15 +325,13 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
         n = int(value) if cfg.axis == "n" else cfg.n
         t_total = n * value if cfg.axis == "dt" else cfg.t_total
 
-        record = SurvivalRecord()
+        w_zeno = None
         if n is not None:
             dt = value if cfg.axis == "dt" else t_total / n
             h = build_three_level(omega, model.phi, model.eta)
-            _, record = run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt))
-        record.w_no_zeno = w_no_zeno(omega, t_total)
-        if gamma is not None:
-            record.w_tunnel = w_tunnel(omega, gamma, t_total)
-        records.append(record)
+            w_zeno = float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).survival[-1])
+        records.append((w_zeno, w_no_zeno(omega, t_total),
+                        None if gamma is None else w_tunnel(omega, gamma, t_total)))
     return SweepResult(axis=cfg.axis, grid=tuple(cfg.axis_values), records=records)
 
 
@@ -420,11 +421,10 @@ def emit_trace_csv(trace: SimulationTrace, path) -> None:
 
 
 def emit_sweep_csv(result: SweepResult, path) -> None:
-    """Write sweep records as `axis_value,w_zeno,w_no_zeno,w_tunnel` rows;
+    """Write sweep tuples as `axis_value,w_zeno,w_no_zeno,w_tunnel` rows;
     undefined variants are left empty."""
     _write_csv(path, "axis_value,w_zeno,w_no_zeno,w_tunnel", (
-        ",".join([_fmt(value)] + ["" if w is None else _fmt(w)
-                                  for w in (rec.w_zeno, rec.w_no_zeno, rec.w_tunnel)]) + "\n"
+        ",".join([_fmt(value)] + ["" if w is None else _fmt(w) for w in rec]) + "\n"
         for value, rec in zip(result.grid, result.records)
     ))
 
@@ -436,38 +436,35 @@ def _emit_ghz_csv(psi: np.ndarray, path) -> None:
     ))
 
 
-def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace, w: float) -> str:
+def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace) -> str:
     if cfg.output_path:
         emit_trace_csv(trace, cfg.output_path)
-    return f"T={_fmt(cfg.t_total)} W={_fmt(w)}"
+    return f"T={_fmt(cfg.t_total)} W={_fmt(trace.survival[-1])}"
 
 
 # Runners look the engine, builders and emitters up by module-level name at
 # call time, so a caller may wrap those names (as a tracer does).
 def _run_two_level_zeno(cfg: ScenarioConfig) -> str:
-    trace, record = run_zeno(build_two_level(cfg.model.v), _ground_state(2), cfg.schedule)
-    return _emit_trace(cfg, trace, record.w_zeno)
+    h = build_two_level(cfg.model.v)
+    return _emit_trace(cfg, run_zeno(h, _ground_state(2), cfg.schedule))
 
 
 def _run_three_level_zeno(cfg: ScenarioConfig) -> str:
     model = cfg.model
     h = build_three_level(model.omega, model.phi, model.eta)
-    trace, record = run_zeno(h, _ground_state(3), cfg.schedule)
-    return _emit_trace(cfg, trace, record.w_zeno)
+    return _emit_trace(cfg, run_zeno(h, _ground_state(3), cfg.schedule))
 
 
 def _run_no_zeno(cfg: ScenarioConfig) -> str:
     model = cfg.model
     h = build_three_level(model.omega, model.phi, model.eta)
-    trace = run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples)
-    return _emit_trace(cfg, trace, trace.survival[-1])
+    return _emit_trace(cfg, run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples))
 
 
 def _run_tunneling(cfg: ScenarioConfig) -> str:
     model = cfg.model
     h = build_tunneling(model.omega, model.eta, model.gamma)
-    trace, record = run_tunneling(h, _ground_state(3), cfg.t_total, steps=cfg.steps)
-    return _emit_trace(cfg, trace, record.w_tunnel)
+    return _emit_trace(cfg, run_tunneling(h, _ground_state(3), cfg.t_total, steps=cfg.steps))
 
 
 def _run_ghz(cfg: ScenarioConfig) -> str:
@@ -483,17 +480,17 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
     result = sweep(cfg)
     if cfg.output_path:
         emit_sweep_csv(result, cfg.output_path)
-    last = result.records[-1]
-    w = next(x for x in (last.w_zeno, last.w_tunnel, last.w_no_zeno) if x is not None)
+    w_zeno, w_no_zeno, w_tunnel = result.records[-1]
+    w = next(x for x in (w_zeno, w_tunnel, w_no_zeno) if x is not None)
     t_part = f" T={_fmt(cfg.t_total)}" if cfg.t_total is not None else ""
     return f"axis={result.axis} points={len(result.grid)}{t_part} W={_fmt(w)}"
 
 
 def _run_ncrit(cfg: ScenarioConfig) -> str:
-    record = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
-    if record is None:
+    trace = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
+    if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
-    return f"T={_fmt(cfg.t_total)} n_crit={record.n} W={_fmt(record.w_zeno)}"
+    return f"T={_fmt(cfg.t_total)} n_crit={len(trace.times) - 1} W={_fmt(trace.survival[-1])}"
 
 
 @dataclass(frozen=True)

@@ -60,15 +60,15 @@ def test_criterion_1_two_level_closed_form():
     closed_small = two_level_survival_closed_form(1.0, 1.0, 2)
     v, t_total, n = 0.1, 10.0, 100
     closed = two_level_survival_closed_form(v, t_total, n)
-    _, record = run_zeno(
+    w_zeno = run_zeno(
         build_two_level(v), ground_state(2), ZenoSchedule(n, t_total / n)
-    )
+    ).survival[-1]
     elapsed = time.perf_counter() - start
     _report("criterion 1", "two-level closed form and simulated Zeno run", elapsed, 1.0, {
         "closed form (q=1, n=2) is exactly 0.5625": closed_small == 0.5625,
-        "simulated matches closed form within 1e-5": abs(record.w_zeno - closed) <= 1e-5,
+        "simulated matches closed form within 1e-5": abs(w_zeno - closed) <= 1e-5,
         "closed form is about 0.9900": abs(closed - 0.9900) <= 1e-4,
-        "simulated is about 0.9900": abs(record.w_zeno - 0.9900) <= 1e-4,
+        "simulated is about 0.9900": abs(w_zeno - 0.9900) <= 1e-4,
     })
 
 
@@ -92,13 +92,13 @@ def test_criterion_3_three_level_zeno():
     checks = {}
     for n in (25, 50, 100, 400):
         dt = t_total / n
-        trace, record = run_zeno(h, ground_state(3), ZenoSchedule(n, dt))
-        w[n] = record.w_zeno
+        trace = run_zeno(h, ground_state(3), ZenoSchedule(n, dt))
+        w[n] = trace.survival[-1]
         checks[f"leak population zero at all post-measurement instants (n={n})"] = bool(
             np.all(trace.populations[:, 2] == 0.0)
         )
         bound = (1.0 - 2.0 * OMEGA**2 * dt**2) ** n
-        checks[f"survival above second-order bound (n={n})"] = record.w_zeno >= bound
+        checks[f"survival above second-order bound (n={n})"] = w[n] >= bound
     checks["survival increases with measurement count"] = w[25] < w[50] < w[100] < w[400]
     elapsed = time.perf_counter() - start
     _report("criterion 3", "three-level Zeno scenario at fixed T=5 ns", elapsed, 5.0, checks)
@@ -174,7 +174,7 @@ def test_criterion_6_tunneling_measurement_model():
     start = time.perf_counter()
     gamma, t_total = 40.0, 5.0
     h = build_tunneling(OMEGA, ETA, gamma)
-    trace, record = run_tunneling(h, ground_state(3), t_total)
+    trace = run_tunneling(h, ground_state(3), t_total)
     psi_oracle = fine_step_final_state(h, ground_state(3), t_total, delta=1e-5)
     w_oracle = abs(psi_oracle[0]) ** 2 + abs(psi_oracle[1]) ** 2
 
@@ -192,7 +192,7 @@ def test_criterion_6_tunneling_measurement_model():
         "peak leak population at most 1e-3": float(np.max(trace.populations[:, 2])) <= 1e-3,
         "oracle value unchanged since freezing": abs(w_oracle - FROZEN_W_TUNNEL_ORACLE) <= 1e-12,
         "survival matches frozen oracle within 1e-9":
-            abs(record.w_tunnel - FROZEN_W_TUNNEL_ORACLE) <= 1e-9,
+            abs(trace.survival[-1] - FROZEN_W_TUNNEL_ORACLE) <= 1e-9,
         "norm decay rate equals -gamma*p3 within 1e-6": rate_ok,
     })
 

@@ -31,8 +31,8 @@ def relative_error(w, reference):
 def sweep_w_tunnel(omega, gamma):
     cfg = validate_config({"mode": "sweep", "axis": "gamma", "axis_values": [gamma],
                            "omega": omega, "eta": ETA, "t_total": T})
-    (record,) = sweep(cfg).records
-    return record.w_tunnel
+    ((_, _, w_tunnel),) = sweep(cfg).records
+    return w_tunnel
 
 
 def tunneling_summary(capsys, omega, gamma, eta=ETA, t_total=T):
@@ -47,8 +47,8 @@ def tunneling_summary(capsys, omega, gamma, eta=ETA, t_total=T):
 @pytest.mark.parametrize("n,rtol", [(400, 1e-9), (4000, 1e-9), (40000, 1e-8)])
 def test_zeno_deficit(n, rtol):
     h = build_three_level(0.05, -math.pi / 2, ETA)
-    _, record = run_zeno(h, [1, 0, 0], ZenoSchedule(n, T / n))
-    assert relative_error(record.w_zeno, ZENO_DEFICIT_40[n]) <= rtol
+    trace = run_zeno(h, [1, 0, 0], ZenoSchedule(n, T / n))
+    assert relative_error(trace.survival[-1], ZENO_DEFICIT_40[n]) <= rtol
 
 
 @pytest.mark.parametrize("omega,gamma", sorted(TUNNELING_DEFICIT_40))

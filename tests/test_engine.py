@@ -5,7 +5,7 @@ import pytest
 
 from zenosim.engine import (
     DegenerateProjectionError,
-    SurvivalRecord,
+    SimulationTrace,
     ZenoSchedule,
     default_tunneling_steps,
     perturbative_step,
@@ -123,8 +123,8 @@ class TestRunUnitary:
 class TestRunZeno:
     def test_ideal_hamiltonian_never_leaks(self):
         h = build_three_level_ideal(OMEGA, ETA)
-        trace, record = run_zeno(h, ground_state(3), ZenoSchedule(40, 0.125))
-        assert record.w_zeno == 1.0
+        trace = run_zeno(h, ground_state(3), ZenoSchedule(40, 0.125))
+        assert trace.survival[-1] == 1.0
         reference = run_unitary(h, ground_state(3), 5.0, samples=41)
         np.testing.assert_allclose(
             trace.populations, reference.populations, atol=1e-10
@@ -132,31 +132,31 @@ class TestRunZeno:
 
     def test_two_level_toy_matches_cosine_product(self):
         v, n, dt = 0.1, 100, 0.1
-        trace, record = run_zeno(build_two_level(v), ground_state(2), ZenoSchedule(n, dt))
-        assert abs(record.w_zeno - math.cos(v * dt) ** (2 * n)) <= 1e-12
+        trace = run_zeno(build_two_level(v), ground_state(2), ZenoSchedule(n, dt))
+        assert abs(trace.survival[-1] - math.cos(v * dt) ** (2 * n)) <= 1e-12
 
     def test_near_certain_leak_keeps_relative_accuracy(self):
         # each check keeps cos^2(V dt) ~ 1e-18; 1 - leak would cancel to ~1e-16
         dt = math.pi / 2 - 1e-9
-        _, record = run_zeno(build_two_level(1.0), ground_state(2), ZenoSchedule(3, dt))
+        w = run_zeno(build_two_level(1.0), ground_state(2), ZenoSchedule(3, dt)).survival[-1]
         exact = math.cos(dt) ** 6
-        assert abs(record.w_zeno - exact) <= 1e-9 * exact
+        assert abs(w - exact) <= 1e-9 * exact
 
     @pytest.mark.parametrize("v,n,dt", [(0.1, 10, 1.0), (0.1, 100, 0.1), (0.5, 50, 0.2)])
     def test_two_level_toy_near_closed_form(self, v, n, dt):
         # closed form drops the (V dt)^4 term of the per-step survival
         assert v * dt <= 0.1
-        _, record = run_zeno(build_two_level(v), ground_state(2), ZenoSchedule(n, dt))
+        w = run_zeno(build_two_level(v), ground_state(2), ZenoSchedule(n, dt)).survival[-1]
         closed = two_level_survival_closed_form(v, n * dt, n)
-        assert abs(record.w_zeno - closed) <= n * (v * dt) ** 4
+        assert abs(w - closed) <= n * (v * dt) ** 4
 
     @pytest.mark.parametrize("n", sorted(FROZEN_W_ZENO))
     def test_reference_scenario_regression(self, n):
         h = build_three_level(OMEGA, PHI_Y, ETA)
-        trace, record = run_zeno(h, ground_state(3), ZenoSchedule(n, 5.0 / n))
-        assert abs(record.w_zeno - FROZEN_W_ZENO[n]) <= 1e-12
+        trace = run_zeno(h, ground_state(3), ZenoSchedule(n, 5.0 / n))
+        assert abs(trace.survival[-1] - FROZEN_W_ZENO[n]) <= 1e-12
         oracle = zeno_survival_taylor(h, np.diag([1, 1, 0]), ground_state(3), n, 5.0 / n)
-        assert abs(record.w_zeno - oracle) <= 1e-12
+        assert abs(trace.survival[-1] - oracle) <= 1e-12
         # post-measurement leak population is identically zero
         assert np.all(trace.populations[:, 2] == 0.0)
 
@@ -166,9 +166,8 @@ class TestRunZeno:
         for n in (25, 50, 100, 200, 400):
             dt = 5.0 / n
             assert OMEGA * dt <= 0.01 + 1e-12
-            _, record = run_zeno(h, ground_state(3), ZenoSchedule(n, dt))
-            w[n] = record.w_zeno
-            assert record.w_zeno >= (1.0 - 2.0 * OMEGA**2 * dt**2) ** n
+            w[n] = run_zeno(h, ground_state(3), ZenoSchedule(n, dt)).survival[-1]
+            assert w[n] >= (1.0 - 2.0 * OMEGA**2 * dt**2) ** n
         assert w[25] < w[50] < w[100] < w[200] < w[400]
 
     def test_zeno_limit_rate(self):
@@ -180,8 +179,11 @@ class TestRunZeno:
 
     def test_survival_matches_survival_product(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
-        trace, record = run_zeno(h, ground_state(3), ZenoSchedule(20, 0.25))
-        assert record.w_zeno == trace.survival[-1]
+        # row k of the survival column is W of the run that stops after k checks
+        trace = run_zeno(h, ground_state(3), ZenoSchedule(20, 0.25))
+        for k in (1, 7, 19):
+            assert trace.survival[k] == run_zeno(h, ground_state(3),
+                                                 ZenoSchedule(k, 0.25)).survival[-1]
 
     def test_certain_leakage_raises(self):
         # a quarter period of the toy model puts all population in the
@@ -202,23 +204,23 @@ class TestRunZeno:
 class TestRunTunneling:
     def test_gamma_zero_matches_unitary(self):
         h = build_tunneling(OMEGA, ETA, 0.0)
-        trace, record = run_tunneling(h, ground_state(3), 5.0, steps=100)
+        trace = run_tunneling(h, ground_state(3), 5.0, steps=100)
         reference = run_unitary(h, ground_state(3), 5.0, samples=101)
         np.testing.assert_allclose(trace.populations, reference.populations, atol=1e-10)
-        assert abs(record.w_tunnel - reference.survival[-1]) <= 1e-10
+        assert abs(trace.survival[-1] - reference.survival[-1]) <= 1e-10
 
     def test_reference_scenario_against_fine_step_oracle(self):
         h = build_tunneling(OMEGA, ETA, 40.0)
-        trace, record = run_tunneling(h, ground_state(3), 5.0)
+        trace = run_tunneling(h, ground_state(3), 5.0)
         psi_oracle = fine_step_final_state(h, ground_state(3), 5.0, delta=1e-5)
         w_oracle = abs(psi_oracle[0]) ** 2 + abs(psi_oracle[1]) ** 2
         assert abs(w_oracle - FROZEN_W_TUNNEL_ORACLE) <= 1e-13
-        assert abs(record.w_tunnel - FROZEN_W_TUNNEL_ORACLE) <= 1e-9
+        assert abs(trace.survival[-1] - FROZEN_W_TUNNEL_ORACLE) <= 1e-9
         assert np.max(trace.populations[:, 2]) <= 1e-3
 
     def test_norm_non_increasing(self):
         h = build_tunneling(OMEGA, ETA, 40.0)
-        trace, _ = run_tunneling(h, ground_state(3), 5.0, steps=2000)
+        trace = run_tunneling(h, ground_state(3), 5.0, steps=2000)
         norms = trace.populations.sum(axis=1)
         assert np.all(np.diff(norms) <= 1e-10)
 
@@ -307,19 +309,18 @@ class TestScheduleAndRecords:
 
     def test_record_fields_are_probabilities(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
-        _, record = run_zeno(h, ground_state(3), ZenoSchedule(25, 0.2))
-        assert 0.0 <= record.w_zeno <= 1.0 + 1e-12
-        assert record.n == 25
-        assert record.w_no_zeno is None and record.w_tunnel is None
-        assert isinstance(record, SurvivalRecord)
+        trace = run_zeno(h, ground_state(3), ZenoSchedule(25, 0.2))
+        assert 0.0 <= trace.survival[-1] <= 1.0 + 1e-12
+        assert len(trace.times) == 25 + 1
+        assert isinstance(trace, SimulationTrace)
 
 
 class TestTraceInvariants:
     def _traces(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
         h_nh = build_tunneling(OMEGA, ETA, 40.0)
-        zeno_trace, _ = run_zeno(h, ground_state(3), ZenoSchedule(50, 0.1))
-        tun_trace, _ = run_tunneling(h_nh, ground_state(3), 5.0, steps=2000)
+        zeno_trace = run_zeno(h, ground_state(3), ZenoSchedule(50, 0.1))
+        tun_trace = run_tunneling(h_nh, ground_state(3), 5.0, steps=2000)
         uni_trace = run_unitary(h, ground_state(3), 5.0, samples=101)
         return zeno_trace, tun_trace, uni_trace
 

@@ -10,6 +10,7 @@ from zenosim.ghz import (
     rotation_pulse,
     run_ghz_protocol,
 )
+from zenosim.cli import main
 from zenosim.models import SIGMA_X, SIGMA_Y, build_ghz_hamiltonian
 
 from oracles import qubit_permutation_operator, taylor_expm
@@ -66,6 +67,15 @@ class TestEntanglingTime:
     def test_rejects_equal_couplings(self):
         with pytest.raises(ValueError):
             entangling_time(0.02, 0.02)
+
+    @pytest.mark.parametrize("g,g_tilde", [(1e-320, 0.0), (1e308, -1e308)])
+    def test_rejects_a_time_past_the_float_range(self, g, g_tilde, capsys):
+        # pi / (2|g - g_tilde|) is inf for the first pair and 0 for the second
+        with pytest.raises(ValueError, match="not finite and positive"):
+            entangling_time(g, g_tilde)
+        assert main(["ghz", f"--g={g!r}", f"--g-tilde={g_tilde!r}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: entangling time") and f"g = {g!r}" in err
 
 
 class TestProtocol:

@@ -88,6 +88,25 @@ class TestMatExp:
         with pytest.raises(ValueError, match="past the float range"):
             mat_exp(h, -2j)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a,s", [
+        ([[1e308, 1], [0, -1j]], -5j),              # s*A overflows
+        ([[1.7e308, 1.7e308], [0, -1j]], 1.0),      # the norm of s*A overflows
+        ([[1, 1], [0, -1j]], 1e300),                # the squared-up result overflows
+        ([[1.5e308, 0], [0, -1j]], 1.0),            # so does exp(1.5e308)
+        (np.eye(2), 1000.0),                        # Hermitian: exp(1000) overflows
+    ], ids=["product", "norm", "squaring", "result", "hermitian"])
+    def test_rejects_an_exponential_past_the_float_range(self, a, s):
+        with pytest.raises(ValueError, match="past the float range"):
+            mat_exp(a, s)
+
+    @pytest.mark.filterwarnings("error")
+    def test_scales_a_norm_above_2_to_the_1022(self):
+        # the scaling factor 2**-1025 is subnormal, but 2**1025 is past the float range
+        expected = np.diag([0.0, np.exp(1j)])
+        np.testing.assert_allclose(mat_exp([[1.5e308, 0], [0, -1j]], -1.0), expected,
+                                   atol=1e-15)
+
 
 class TestApply:
     def test_identity(self):

@@ -147,6 +147,20 @@ class TestConfigValidation:
                 {"mode": "sweep", "axis": "n", "axis_values": [25, 50], "omega": 0.05}
             )
 
+    def test_dt_sweep_rejects_t_total(self, tmp_path, capsys):
+        # each point of a dt sweep runs to n*dt, so a fixed t_total would be
+        # printed as T but not run
+        out = tmp_path / "never.csv"
+        path = write_config(tmp_path, mode="sweep", axis="dt", axis_values=[0.1],
+                            omega=0.05, n=50, t_total=3, out=str(out))
+        assert run_scenario(path) == 1
+        assert capsys.readouterr().err.startswith("config error: sweep over 'dt'")
+        assert not out.exists()
+        # an axis's own key is a fixed key that the grid value overrides
+        for axis, key in (("omega", "omega"), ("gamma", "gamma"), ("n", "n")):
+            validate_config({"mode": "sweep", "axis": axis, "axis_values": [1],
+                             "omega": 0.05, "t_total": 5.0, key: 2})
+
     def test_sweep_grid_must_be_monotone(self):
         with pytest.raises(ConfigError, match="monotone"):
             validate_config(
@@ -228,34 +242,41 @@ class TestConfigValidation:
             load_config(str(path))
 
 
+def n_of(trace):
+    """Measurement count of a Zeno trace: one row per check plus the start."""
+    return len(trace.times) - 1
+
+
 class TestFindNCrit:
     def test_reference_scenario_regression(self):
         # n = 1 is the baseline itself and is not searched; a 60-digit
         # reference gives d_zeno(2) / d_unitary = 0.651 here
-        assert find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400).n == 2
+        assert n_of(find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400)) == 2
 
     def test_minimality(self):
         model = ModelSpec(omega=OMEGA)
         found = find_n_crit(model, 5.0, 400)
-        n_crit = found.n
+        n_crit = n_of(found)
         h = build_three_level(OMEGA, PHI_Y, ETA)
         baseline = run_unitary(h, ground_state(), 5.0, samples=2).survival[-1]
         for m in range(2, n_crit):
-            _, rec = run_zeno(h, ground_state(), ZenoSchedule(m, 5.0 / m))
-            assert rec.w_zeno < baseline
-        _, rec = run_zeno(h, ground_state(), ZenoSchedule(n_crit, 5.0 / n_crit))
-        assert rec.w_zeno >= baseline
-        assert found.w_zeno == rec.w_zeno
+            rec = run_zeno(h, ground_state(), ZenoSchedule(m, 5.0 / m))
+            assert rec.survival[-1] < baseline
+        rec = run_zeno(h, ground_state(), ZenoSchedule(n_crit, 5.0 / n_crit))
+        assert rec.survival[-1] >= baseline
+        np.testing.assert_array_equal(found.survival, rec.survival)
 
     def test_invariant_under_raising_n_max(self):
         model = ModelSpec(omega=OMEGA)
-        assert find_n_crit(model, 5.0, 50) == find_n_crit(model, 5.0, 400)
+        low, high = find_n_crit(model, 5.0, 50), find_n_crit(model, 5.0, 400)
+        for field in ("times", "populations", "survival"):
+            np.testing.assert_array_equal(getattr(low, field), getattr(high, field))
 
     def test_not_found_marker(self):
         # n_max = 1 searches nothing, though n = 2 qualifies here
         model = ModelSpec(omega=0.13)
         assert find_n_crit(model, 2.0, 1) is None
-        assert find_n_crit(model, 2.0, 2).n == 2
+        assert n_of(find_n_crit(model, 2.0, 2)) == 2
         # a 60-digit reference finds no n <= 50 beating the baseline here
         assert find_n_crit(ModelSpec(omega=0.0925), 25.1875, 50) is None
 
@@ -273,8 +294,8 @@ class TestSweep:
         result = sweep(cfg)
         assert len(result.records) == 1
         h = build_three_level(OMEGA, PHI_Y, ETA)
-        _, direct = run_zeno(h, ground_state(), ZenoSchedule(50, 0.1))
-        assert result.records[0].w_zeno == direct.w_zeno
+        direct = run_zeno(h, ground_state(), ZenoSchedule(50, 0.1))
+        assert result.records[0][0] == direct.survival[-1]
 
     def test_n_sweep_is_increasing(self):
         cfg = validate_config(
@@ -282,7 +303,7 @@ class TestSweep:
              "omega": 0.05, "t_total": 5.0}
         )
         result = sweep(cfg)
-        w = [r.w_zeno for r in result.records]
+        w = [w_zeno for w_zeno, _, _ in result.records]
         assert w[0] < w[1] < w[2]
         for n, got in zip((25, 50, 100), w):
             assert abs(got - FROZEN_W_ZENO[n]) <= 1e-12
@@ -293,9 +314,9 @@ class TestSweep:
              "omega": 0.05, "t_total": 5.0}
         )
         records = sweep(cfg).records
-        assert records[1].w_zeno > records[0].w_zeno
-        for r in records:
-            assert 0.0 <= r.w_zeno <= 1.0
+        assert records[1][0] > records[0][0]
+        for w_zeno, _, _ in records:
+            assert 0.0 <= w_zeno <= 1.0
 
     def test_gamma_sweep_defines_tunnel_only(self):
         cfg = validate_config(
@@ -303,20 +324,20 @@ class TestSweep:
              "omega": 0.05, "t_total": 5.0}
         )
         result = sweep(cfg)
-        for rec in result.records:
-            assert rec.w_tunnel is not None
-            assert rec.w_no_zeno is not None
-            assert rec.w_zeno is None
+        for w_zeno, w_no_zeno, w_tunnel in result.records:
+            assert w_tunnel is not None
+            assert w_no_zeno is not None
+            assert w_zeno is None
 
     def test_gamma_sweep_with_n_defines_all_three(self):
         cfg = validate_config(
             {"mode": "sweep", "axis": "gamma", "axis_values": [0.0, 40.0],
              "omega": 0.05, "t_total": 5.0, "n": 50}
         )
-        for rec in sweep(cfg).records:
-            assert rec.w_zeno is not None
-            assert rec.w_no_zeno is not None
-            assert rec.w_tunnel is not None
+        for w_zeno, w_no_zeno, w_tunnel in sweep(cfg).records:
+            assert w_zeno is not None
+            assert w_no_zeno is not None
+            assert w_tunnel is not None
 
     def test_n_sweep_runs_tunneling_once(self, monkeypatch):
         # w_tunnel does not depend on n, so one end value serves every point
@@ -334,15 +355,15 @@ class TestSweep:
         records = sweep(cfg).records
         assert len(calls) == 1
         # the tunneling mode's full trace ends at the same value, bit for bit
-        _, direct = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
-        assert [r.w_tunnel for r in records] == [direct.w_tunnel] * 3
+        direct = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
+        assert [w_tunnel for _, _, w_tunnel in records] == [direct.survival[-1]] * 3
 
     def test_tunneling_suppresses_peak_leakage(self):
         # continuous monitoring beats free evolution on peak leak population
-        quiet, _ = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0,
-                                 steps=2000)
-        free, _ = run_tunneling(build_tunneling(OMEGA, ETA, 0.0), ground_state(), 5.0,
-                                steps=2000)
+        quiet = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0,
+                              steps=2000)
+        free = run_tunneling(build_tunneling(OMEGA, ETA, 0.0), ground_state(), 5.0,
+                             steps=2000)
         assert np.max(quiet.populations[:, 2]) < np.max(free.populations[:, 2])
 
     def test_dt_sweep_uses_n_times_dt(self):
@@ -352,8 +373,8 @@ class TestSweep:
         )
         result = sweep(cfg)
         h = build_three_level(OMEGA, PHI_Y, ETA)
-        _, direct = run_zeno(h, ground_state(), ZenoSchedule(50, 0.05))
-        assert result.records[0].w_zeno == direct.w_zeno
+        direct = run_zeno(h, ground_state(), ZenoSchedule(50, 0.05))
+        assert result.records[0][0] == direct.survival[-1]
 
     def test_omega_sweep(self):
         cfg = validate_config(
@@ -361,8 +382,8 @@ class TestSweep:
              "t_total": 5.0}
         )
         records = sweep(cfg).records
-        assert records[0].w_no_zeno == pytest.approx(1.0, abs=1e-12)
-        assert records[2].w_no_zeno < records[1].w_no_zeno
+        assert records[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert records[2][1] < records[1][1]
 
 
 class TestTraceCsv:
@@ -411,7 +432,7 @@ class TestTraceCsv:
         assert b"\r" not in blob
 
     def test_two_level_trace_pads_p3(self, tmp_path):
-        trace, _ = run_zeno(
+        trace = run_zeno(
             np.array([[0, 0.1], [0.1, 0]], dtype=complex), ground_state(2),
             ZenoSchedule(3, 0.5),
         )
