@@ -1,8 +1,9 @@
-"""Command-line interface: one subcommand per scenario mode.
+"""Command-line interface: `zenosim MODE [options]`, one parser for every mode.
 
-Every subcommand takes an optional JSON config (--config) plus a fixed set
-of override flags that win over the file.  Exit codes: 0 success, 1 config
-error, 2 runtime/physics error, 3 I/O error.
+MODE is a name in `report.MODES`, dashed or not, which the config validation
+checks.  The flags override keys of an optional JSON config (--config) and may
+come before or after MODE.  Exit codes: 0 success, 1 config error, 2
+runtime/physics error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import sys
 from .report import MODES, run_scenario
 
 
-def _add_options(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="zenosim",
+        description="Driven-qubit leakage suppression: Zeno, tunneling and GHZ simulations.",
+        epilog="modes:" + "".join(f"\n  {m.replace('_', '-'):<18}{h}" for m, h in MODES.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("mode", metavar="MODE", help="scenario mode (listed below)",
+                        type=lambda name: name.replace("-", "_"))
     parser.add_argument("--config", metavar="PATH", help="JSON scenario file")
     parser.add_argument("--omega", type=float, help="Rabi drive strength (rad/ns)")
     parser.add_argument("--eta", type=float, help="anharmonicity (rad/ns)")
@@ -26,32 +35,6 @@ def _add_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-total", dest="t_total", type=float,
                         help="total evolution time (ns)")
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zenosim",
-        description="Driven-qubit leakage suppression: Zeno, tunneling and GHZ simulations.",
-    )
-    subparsers = parser.add_subparsers(dest="mode", required=True, metavar="MODE")
-    descriptions = {
-        "two_level_zeno": "two-level toy model under repeated projective checks",
-        "three_level_zeno": "driven three-level qubit under repeated leak measurements",
-        "no_zeno": "exact unmeasured evolution of the driven three-level qubit",
-        "tunneling": "continuous measurement via a decaying top level",
-        "ghz": "single-step three-qubit GHZ preparation",
-        "sweep": "survival probabilities along a parameter grid",
-        "ncrit": "smallest measurement count beating the unmeasured survival",
-    }
-    for mode in MODES:
-        dashed = mode.replace("_", "-")
-        aliases = [mode] if dashed != mode else []
-        sub = subparsers.add_parser(
-            dashed, aliases=aliases,
-            help=descriptions[mode], description=descriptions[mode],
-        )
-        sub.set_defaults(mode=mode)
-        _add_options(sub)
     return parser
 
 

@@ -58,6 +58,9 @@ __all__ = [
 # Norm below which a projective measurement outcome is treated as impossible.
 DEGENERATE_NORM = 1e-14
 
+# Rows of an unmeasured trace when no sample count is given.
+DEFAULT_SAMPLES = 101
+
 # Largest condition number of the eigenvector matrix V of a non-Hermitian H
 # for which _evolve uses V exp(-i Lambda t) V^-1.  The error of that form in
 # W grows as about 1e-16 * cond(V); near an exceptional point, where two
@@ -94,6 +97,8 @@ class ZenoSchedule:
         object.__setattr__(self, "n", _check_count("n", self.n))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not math.isfinite(self.n * self.dt):
+            raise ValueError(f"n*dt must be finite, got n={self.n} dt={self.dt!r}")
 
     @property
     def t_total(self) -> float:
@@ -162,7 +167,7 @@ def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     return states
 
 
-def run_unitary(h, psi0, t_total: float, samples: int = 101) -> SimulationTrace:
+def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
     """Exact unmeasured evolution exp(-iHt)|psi0> sampled on a uniform grid.
 
     The survival column is the instantaneous probability of not being in the

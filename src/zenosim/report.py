@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .engine import (
+    DEFAULT_SAMPLES,
     PhysicsError,
     SimulationTrace,
     ZenoSchedule,
@@ -68,7 +69,7 @@ class ScenarioConfig:
     schedule: ZenoSchedule | None = None
     t_total: float | None = None
     n: int | None = None
-    samples: int = 101
+    samples: int = DEFAULT_SAMPLES
     steps: int | None = None
     output_path: str | None = None
     gamma: float | None = None
@@ -112,6 +113,12 @@ def _coerce_str(key: str, value) -> str:
     return value
 
 
+def _coerce_path(key: str, value) -> str:
+    if _coerce_str(key, value) == "":
+        raise ConfigError(f"key {key!r} must be a non-empty path")
+    return value
+
+
 def _coerce_float_list(key: str, value) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key {key!r} must be a non-empty list of numbers")
@@ -124,7 +131,8 @@ _COERCE = {
         ("omega", "phi", "eta", "gamma", "v", "g", "g_tilde", "dt", "t_total"), _coerce_float
     ),
     **dict.fromkeys(("n", "samples", "steps", "n_max"), _coerce_int),
-    **dict.fromkeys(("mode", "out", "axis"), _coerce_str),
+    **dict.fromkeys(("mode", "axis"), _coerce_str),
+    "out": _coerce_path,
     "axis_values": _coerce_float_list,
 }
 
@@ -175,6 +183,8 @@ def _check_sweep(values: dict) -> None:
             raise ConfigError(f"n grid values must be positive integers, got {x!r}")
         if axis == "dt" and x <= 0:
             raise ConfigError(f"dt grid values must be positive, got {x!r}")
+        if axis == "dt" and not math.isfinite(values["n"] * x):
+            raise ConfigError(f"n*dt must be finite, got n={values['n']} dt={x!r}")
         if axis in ("omega", "gamma") and x < 0:
             raise ConfigError(f"{axis} grid values must be >= 0, got {x!r}")
 
@@ -205,7 +215,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         )
 
     # Counts are checked before the mode's own check, which divides by n.
-    if values.get("samples", 101) < 2:
+    if values.get("samples", DEFAULT_SAMPLES) < 2:
         raise ConfigError("samples must be >= 2")
     for key in ("n", "steps", "n_max"):
         if key in values and values[key] < 1:
@@ -236,7 +246,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         schedule=schedule,
         t_total=t_total,
         n=values.get("n"),
-        samples=values.get("samples", 101),
+        samples=values.get("samples", DEFAULT_SAMPLES),
         steps=values.get("steps"),
         output_path=values.get("out"),
         gamma=values.get("gamma"),
@@ -306,8 +316,14 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     model = cfg.model
     psi0 = _ground_state(3)
 
-    # w_no_zeno depends only on (omega, T) and w_tunnel only on (omega, gamma, T),
+    # Each variant is cached on the values it depends on: w_zeno on
+    # (omega, n, dt), w_no_zeno on (omega, T) and w_tunnel on (omega, gamma, T),
     # so grid points that share those values share one run.
+    @functools.cache
+    def w_zeno(omega: float, n: int, dt: float) -> float:
+        h = build_three_level(omega, model.phi, model.eta)
+        return float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).survival[-1])
+
     @functools.cache
     def w_no_zeno(omega: float, t_total: float) -> float:
         h = build_three_level(omega, model.phi, model.eta)
@@ -325,12 +341,8 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
         n = int(value) if cfg.axis == "n" else cfg.n
         t_total = n * value if cfg.axis == "dt" else cfg.t_total
 
-        w_zeno = None
-        if n is not None:
-            dt = value if cfg.axis == "dt" else t_total / n
-            h = build_three_level(omega, model.phi, model.eta)
-            w_zeno = float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).survival[-1])
-        records.append((w_zeno, w_no_zeno(omega, t_total),
+        zeno = None if n is None else w_zeno(omega, n, value if cfg.axis == "dt" else t_total / n)
+        records.append((zeno, w_no_zeno(omega, t_total),
                         None if gamma is None else w_tunnel(omega, gamma, t_total)))
     return SweepResult(axis=cfg.axis, grid=tuple(cfg.axis_values), records=records)
 
@@ -495,11 +507,12 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
 
 @dataclass(frozen=True)
 class _Mode:
-    """One mode: the keys it accepts besides `mode`, the keys it requires, the
-    runner that writes its CSV (when `out` is set) and returns the summary after
-    `mode=<name>`, a check of the coerced values that returns the schedule
-    a Zeno mode runs on, and the rows its largest engine run builds."""
+    """One mode: its one-line help, the keys it accepts besides `mode`, the keys
+    it requires, the runner that writes its CSV (when `out` is set) and returns
+    the summary after `mode=<name>`, a check of the coerced values that returns
+    the schedule a Zeno mode runs on, and the rows its largest engine run builds."""
 
+    help: str
     keys: set[str]
     required: set[str]
     run: Callable[[ScenarioConfig], str]
@@ -527,26 +540,34 @@ def _sweep_rows(values: dict) -> int:
 
 
 _MODES = {
-    "two_level_zeno": _Mode({"v", "n", "dt", "t_total", "out"}, {"v", "n"},
+    "two_level_zeno": _Mode("two-level toy model under repeated projective checks",
+                            {"v", "n", "dt", "t_total", "out"}, {"v", "n"},
                             _run_two_level_zeno, _resolve_schedule, _zeno_rows),
-    "three_level_zeno": _Mode({"omega", "phi", "eta", "n", "dt", "t_total", "out"},
+    "three_level_zeno": _Mode("driven three-level qubit under repeated leak measurements",
+                              {"omega", "phi", "eta", "n", "dt", "t_total", "out"},
                               {"omega", "n"}, _run_three_level_zeno, _resolve_schedule,
                               _zeno_rows),
-    "no_zeno": _Mode({"omega", "phi", "eta", "t_total", "samples", "out"},
+    "no_zeno": _Mode("exact unmeasured evolution of the driven three-level qubit",
+                     {"omega", "phi", "eta", "t_total", "samples", "out"},
                      {"omega", "t_total"}, _run_no_zeno,
-                     rows=lambda values: values.get("samples", 101)),
-    "tunneling": _Mode({"omega", "eta", "gamma", "t_total", "steps", "out"},
+                     rows=lambda values: values.get("samples", DEFAULT_SAMPLES)),
+    "tunneling": _Mode("continuous measurement via a decaying top level",
+                       {"omega", "eta", "gamma", "t_total", "steps", "out"},
                        {"omega", "gamma", "t_total"}, _run_tunneling, rows=_tunneling_rows),
-    "ghz": _Mode({"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
-    "sweep": _Mode({"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total",
+    "ghz": _Mode("single-step three-qubit GHZ preparation",
+                 {"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
+    "sweep": _Mode("survival probabilities along a parameter grid",
+                   {"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total",
                     "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep, _sweep_rows),
     # ncrit has no file output, so it takes no `out`.
-    "ncrit": _Mode({"omega", "phi", "eta", "t_total", "n_max"},
+    "ncrit": _Mode("smallest measurement count beating the unmeasured survival",
+                   {"omega", "phi", "eta", "t_total", "n_max"},
                    {"omega", "t_total", "n_max"}, _run_ncrit,
                    rows=lambda values: values["n_max"] + 1),
 }
 
-MODES = tuple(_MODES)
+# Each mode name, in declaration order, with its one-line description.
+MODES = {name: mode.help for name, mode in _MODES.items()}
 
 
 def run_scenario(config_path=None, mode: str | None = None,

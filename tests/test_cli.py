@@ -10,6 +10,7 @@ import pytest
 
 import zenosim
 from zenosim.cli import build_parser, main
+from zenosim.report import MODES
 
 from test_engine import FROZEN_W_ZENO
 
@@ -22,11 +23,12 @@ def write_config(tmp_path, **keys):
 
 class TestParser:
     def test_all_modes_have_subcommands(self):
+        # both spellings of every mode parse to its name
         parser = build_parser()
-        for command in ("two-level-zeno", "three-level-zeno", "no-zeno",
-                        "tunneling", "ghz", "sweep", "ncrit"):
-            args = parser.parse_args([command])
-            assert args.mode == command.replace("-", "_")
+        for mode in ("two_level_zeno", "three_level_zeno", "no_zeno",
+                     "tunneling", "ghz", "sweep", "ncrit"):
+            for command in (mode, mode.replace("_", "-")):
+                assert parser.parse_args([command]).mode == mode
 
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
@@ -83,12 +85,25 @@ class TestMain:
 
     def test_usage_errors_are_config_errors(self, capsys):
         assert main(["three-level-zeno", "--omega", "abc"]) == 1
+        assert main([]) == 1
+        assert "required: MODE" in capsys.readouterr().err
+        # the config validation, not the parser, rejects an unknown mode
         assert main(["bogus-mode"]) == 1
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown mode 'bogus_mode'; valid modes: two_level_zeno, ")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-        assert "MODE" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "MODE" in out
+        for mode, text in MODES.items():
+            assert f"  {mode.replace('_', '-'):<18}{text}\n" in out
+
+    def test_options_may_precede_the_mode(self, capsys):
+        assert main(["--g", "0.02", "--g-tilde", "0.005", "ghz"]) == 0
+        before = capsys.readouterr().out
+        assert main(["ghz", "--g", "0.02", "--g-tilde", "0.005"]) == 0
+        assert capsys.readouterr().out == before
 
     def test_tunneling_run(self, tmp_path, capsys):
         path = write_config(

@@ -307,6 +307,11 @@ class TestScheduleAndRecords:
         with pytest.raises(ValueError):
             ZenoSchedule(n, dt)
 
+    def test_schedule_rejects_an_overflowing_total_time(self):
+        # each dt is finite, but T = n*dt is past the float range
+        with pytest.raises(ValueError, match=r"n\*dt must be finite"):
+            ZenoSchedule(3, 1e308)
+
     def test_record_fields_are_probabilities(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
         trace = run_zeno(h, ground_state(3), ZenoSchedule(25, 0.2))

@@ -161,6 +161,28 @@ class TestConfigValidation:
             validate_config({"mode": "sweep", "axis": axis, "axis_values": [1],
                              "omega": 0.05, "t_total": 5.0, key: 2})
 
+    def test_overflowing_zeno_total_time_is_a_config_error(self, tmp_path, capsys):
+        # n*dt is inf for a finite dt; the run would print T=inf
+        out = tmp_path / "never.csv"
+        argv = ["three-level-zeno", "--omega", "0.05", "--n", "3", "--dt", "1e308",
+                "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: n*dt must be finite")
+        path = write_config(tmp_path, mode="sweep", axis="dt", axis_values=[0.1, 1e308],
+                            omega=0.05, n=3, out=str(out))
+        assert run_scenario(path) == 1
+        assert capsys.readouterr().err.startswith("config error: n*dt must be finite")
+        assert not out.exists()
+
+    def test_empty_out_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["ghz", "--g", "0.02", "--g-tilde", "0.005", "--out", ""]) == 1
+        assert capsys.readouterr() == ("", "config error: key 'out' must be a non-empty path\n")
+        path = write_config(tmp_path, mode="ghz", g=0.02, g_tilde=0.005, out="")
+        assert run_scenario(path) == 1
+        assert capsys.readouterr() == ("", "config error: key 'out' must be a non-empty path\n")
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_sweep_grid_must_be_monotone(self):
         with pytest.raises(ConfigError, match="monotone"):
             validate_config(
@@ -357,6 +379,25 @@ class TestSweep:
         # the tunneling mode's full trace ends at the same value, bit for bit
         direct = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
         assert [w_tunnel for _, _, w_tunnel in records] == [direct.survival[-1]] * 3
+
+    def test_gamma_sweep_runs_zeno_once(self, monkeypatch):
+        # w_zeno depends on (omega, n, dt), which no gamma grid point changes
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_zeno(*args, **kwargs)
+
+        monkeypatch.setattr(report, "run_zeno", counting)
+        cfg = validate_config(
+            {"mode": "sweep", "axis": "gamma", "axis_values": [0.0, 4.0, 40.0, 400.0],
+             "omega": 0.05, "t_total": 5.0, "n": 1000}
+        )
+        records = sweep(cfg).records
+        assert len(calls) == 1
+        direct = run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(),
+                          ZenoSchedule(1000, 0.005))
+        assert [w_zeno for w_zeno, _, _ in records] == [direct.survival[-1]] * 4
 
     def test_tunneling_suppresses_peak_leakage(self):
         # continuous monitoring beats free evolution on peak leak population

@@ -45,11 +45,11 @@ MODES = {
         ["ghz", "--g", "0.02", "--g-tilde", "0.005", "--out", "out.csv"], None,
         {"ghz.protocol": 1, "models.ghz_build": 1, "linalg.kron": 4, "linalg.mat_exp": 3,
          "linalg.apply": 3, "report.emit": 1}),
-    # Per point: a Zeno run and a tunneling end value; w_no_zeno is shared.
+    # Per point: a tunneling end value; the Zeno run and w_no_zeno are shared.
     "sweep": (
         ["sweep", "--out", "out.csv"],
         {"axis": "gamma", "axis_values": [0.0, 40.0], "omega": 0.05, "t_total": 5.0, "n": 4},
-        {"report.sweep": 1, "models.build": 5, "engine.zeno": 2, "linalg.mat_exp": 2,
+        {"report.sweep": 1, "models.build": 4, "engine.zeno": 1, "linalg.mat_exp": 1,
          "engine.unitary": 1, "engine.tunneling": 2, "report.emit": 1}),
     "ncrit": (
         ["ncrit", "--omega", "0.05", "--t-total", "5"], {"n_max": 5},
