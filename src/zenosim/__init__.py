@@ -29,7 +29,6 @@ from .models import (
     ModelSpec,
     build_ghz_hamiltonian,
     build_three_level,
-    build_three_level_ideal,
     build_tunneling,
     build_two_level,
 )
@@ -50,8 +49,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "mat_exp", "apply", "kron", "is_hermitian",
-    "ModelSpec", "build_two_level", "build_three_level", "build_three_level_ideal",
-    "build_tunneling", "build_ghz_hamiltonian",
+    "ModelSpec", "build_two_level", "build_three_level", "build_tunneling",
+    "build_ghz_hamiltonian",
     "ZenoSchedule", "SimulationTrace",
     "PhysicsError", "DegenerateProjectionError",
     "two_level_survival_closed_form",

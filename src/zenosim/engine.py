@@ -22,9 +22,9 @@ it.
 
 Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
-(run_tunneling, steps defaulting to default_tunneling_steps).  The CLI's
-row budget counts the same rows before a run (report._MODES[mode].rows), so
-a change to how a run samples must be made there too.
+(run_tunneling, steps defaulting to default_tunneling_steps): one row more
+than its intervals.  The CLI resolves every count into its config and
+passes it explicitly, so its row budget reads the counts a run will use.
 
 All runs are deterministic, single-threaded and allocation-local; distinct
 runs may execute concurrently without coordination.

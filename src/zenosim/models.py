@@ -1,9 +1,8 @@
 """Hamiltonian builders.
 
 Covers the driven two-level system, the resonantly driven three-level qubit
-in the rotating frame (with and without the leakage channel, with and
-without tunneling out of the top level), and the fully connected three-qubit
-network with XY + ZZ couplings.
+in the rotating frame (with and without tunneling out of the top level), and
+the fully connected three-qubit network with XY + ZZ couplings.
 
 Conventions, fixed here once for the whole package:
   * units: all rates and frequencies in angular rad/ns, hbar = 1;
@@ -30,7 +29,6 @@ __all__ = [
     "ModelSpec",
     "build_two_level",
     "build_three_level",
-    "build_three_level_ideal",
     "build_tunneling",
     "build_ghz_hamiltonian",
 ]
@@ -103,20 +101,6 @@ def build_three_level(omega: float, phi: float, eta: float) -> np.ndarray:
             [0, d, 0],
             [d.conjugate(), 0, s2 * d],
             [0, s2 * d.conjugate(), eta],
-        ],
-        dtype=complex,
-    )
-
-
-def build_three_level_ideal(omega: float, eta: float) -> np.ndarray:
-    """Leak-free reference Hamiltonian: the Y-drive with the 2<->3 matrix
-    element removed, so the top level never populates."""
-    _require_finite(omega=omega, eta=eta)
-    return np.array(
-        [
-            [0, -1j * omega, 0],
-            [1j * omega, 0, 0],
-            [0, 0, eta],
         ],
         dtype=complex,
     )

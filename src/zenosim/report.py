@@ -91,9 +91,12 @@ class SweepResult:
 def _coerce_float(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the float range
+        out = math.inf
     if not math.isfinite(out):
-        raise ConfigError(f"key {key!r} must be finite, got {value!r}")
+        raise ConfigError(f"key {key!r} must be finite, got {out!r}")
     return out
 
 
@@ -214,12 +217,34 @@ def validate_config(raw: dict) -> ScenarioConfig:
             f"missing {sorted(missing)}"
         )
 
-    # Counts are checked before the mode's own check, which divides by n.
-    if values.get("samples", DEFAULT_SAMPLES) < 2:
+    # Every count a run uses is resolved, checked and budgeted before the
+    # mode's own check, which does float arithmetic with n.
+    if "samples" in entry.keys:
+        values.setdefault("samples", DEFAULT_SAMPLES)
+    if "steps" in entry.keys and "steps" not in values:
+        try:
+            values["steps"] = default_tunneling_steps(values["gamma"], values["t_total"])
+        except ValueError:  # 100 * gamma * t_total is past the float range
+            values["steps"] = math.inf
+    if values.get("samples", 2) < 2:
         raise ConfigError("samples must be >= 2")
     for key in ("n", "steps", "n_max"):
         if key in values and values[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {values[key]}")
+
+    # A run builds one row more than its intervals; an n grid stands in for n,
+    # and the end-value runs of sweep and ncrit have one interval.
+    grid = values["axis_values"] if values.get("axis") == "n" else [values.get("n", 1)]
+    rows = 1 + max(*map(int, grid), values.get("steps", 1), values.get("samples", 2) - 1,
+                   values.get("n_max", 1))
+    if rows > MAX_TRACE_ROWS:
+        try:
+            count = str(rows)
+        except ValueError:  # more digits than an int may be printed with
+            count = "inf"
+        raise ConfigError(
+            f"mode {mode!r} would build {count} rows in one run; the limit is {MAX_TRACE_ROWS}"
+        )
 
     schedule = entry.check(values)
     t_total = schedule.t_total if schedule is not None else values.get("t_total")
@@ -232,13 +257,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         model = ModelSpec(**physics)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    rows = entry.rows(values)
-    if rows > MAX_TRACE_ROWS:
-        raise ConfigError(
-            f"mode {mode!r} would build {rows} rows in one run; "
-            f"the limit is {MAX_TRACE_ROWS}"
-        )
 
     return ScenarioConfig(
         mode=mode,
@@ -267,7 +285,7 @@ def _load_raw(path) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to read
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a flat JSON object")
@@ -509,61 +527,38 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
 class _Mode:
     """One mode: its one-line help, the keys it accepts besides `mode`, the keys
     it requires, the runner that writes its CSV (when `out` is set) and returns
-    the summary after `mode=<name>`, a check of the coerced values that returns
-    the schedule a Zeno mode runs on, and the rows its largest engine run builds."""
+    the summary after `mode=<name>`, and a check of the coerced values that
+    returns the schedule a Zeno mode runs on."""
 
     help: str
     keys: set[str]
     required: set[str]
     run: Callable[[ScenarioConfig], str]
     check: Callable[[dict], ZenoSchedule | None] = lambda values: None
-    rows: Callable[[dict], float] = lambda values: 0
-
-
-def _zeno_rows(values: dict) -> int:
-    return values["n"] + 1
-
-
-def _tunneling_rows(values: dict) -> float:
-    if "steps" in values:
-        return values["steps"] + 1
-    try:
-        return default_tunneling_steps(values["gamma"], values["t_total"]) + 1
-    except ValueError:  # gamma * t_total is past the float range
-        return math.inf
-
-
-def _sweep_rows(values: dict) -> int:
-    # Only the Zeno runs build more than two rows; the largest n sets the size.
-    n = max(values["axis_values"]) if values["axis"] == "n" else values.get("n", 1)
-    return int(n) + 1
 
 
 _MODES = {
     "two_level_zeno": _Mode("two-level toy model under repeated projective checks",
                             {"v", "n", "dt", "t_total", "out"}, {"v", "n"},
-                            _run_two_level_zeno, _resolve_schedule, _zeno_rows),
+                            _run_two_level_zeno, _resolve_schedule),
     "three_level_zeno": _Mode("driven three-level qubit under repeated leak measurements",
                               {"omega", "phi", "eta", "n", "dt", "t_total", "out"},
-                              {"omega", "n"}, _run_three_level_zeno, _resolve_schedule,
-                              _zeno_rows),
+                              {"omega", "n"}, _run_three_level_zeno, _resolve_schedule),
     "no_zeno": _Mode("exact unmeasured evolution of the driven three-level qubit",
                      {"omega", "phi", "eta", "t_total", "samples", "out"},
-                     {"omega", "t_total"}, _run_no_zeno,
-                     rows=lambda values: values.get("samples", DEFAULT_SAMPLES)),
+                     {"omega", "t_total"}, _run_no_zeno),
     "tunneling": _Mode("continuous measurement via a decaying top level",
                        {"omega", "eta", "gamma", "t_total", "steps", "out"},
-                       {"omega", "gamma", "t_total"}, _run_tunneling, rows=_tunneling_rows),
+                       {"omega", "gamma", "t_total"}, _run_tunneling),
     "ghz": _Mode("single-step three-qubit GHZ preparation",
                  {"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
     "sweep": _Mode("survival probabilities along a parameter grid",
                    {"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total",
-                    "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep, _sweep_rows),
+                    "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep),
     # ncrit has no file output, so it takes no `out`.
     "ncrit": _Mode("smallest measurement count beating the unmeasured survival",
                    {"omega", "phi", "eta", "t_total", "n_max"},
-                   {"omega", "t_total", "n_max"}, _run_ncrit,
-                   rows=lambda values: values["n_max"] + 1),
+                   {"omega", "t_total", "n_max"}, _run_ncrit),
 }
 
 # Each mode name, in declaration order, with its one-line description.

@@ -5,7 +5,8 @@ exponential is a plain truncated Taylor sum (no scaling, no
 eigendecomposition), the fine-step integrator is a fourth-order Taylor
 stepper driven by matrix powers, and the three-qubit Hamiltonian is built
 both by basis-index bookkeeping and by Kronecker algebra, so whichever way
-the package builds it, one oracle takes the other way.
+the package builds it, one oracle takes the other way.  The leak-free
+three-level Hamiltonian is written out by hand.
 """
 
 from __future__ import annotations
@@ -53,6 +54,19 @@ def zeno_survival_taylor(h, projector, psi0, n: int, dt: float) -> float:
         w *= 1.0 - float(np.linalg.norm(psi - kept) ** 2)
         psi = kept / np.linalg.norm(kept)
     return w
+
+
+def build_three_level_ideal(omega: float, eta: float) -> np.ndarray:
+    """Leak-free reference Hamiltonian: the Y-drive with the 2<->3 matrix
+    element removed, so the top level never populates."""
+    return np.array(
+        [
+            [0, -1j * omega, 0],
+            [1j * omega, 0, 0],
+            [0, 0, eta],
+        ],
+        dtype=complex,
+    )
 
 
 def _bit(index: int, qubit: int) -> int:

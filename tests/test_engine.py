@@ -17,12 +17,11 @@ from zenosim.engine import (
 from zenosim.linalg import mat_exp
 from zenosim.models import (
     build_three_level,
-    build_three_level_ideal,
     build_tunneling,
     build_two_level,
 )
 
-from oracles import fine_step_final_state, zeno_survival_taylor
+from oracles import build_three_level_ideal, fine_step_final_state, zeno_survival_taylor
 
 OMEGA, ETA = 0.05, -0.2
 PHI_Y = -math.pi / 2

@@ -8,12 +8,16 @@ from zenosim.models import (
     ModelSpec,
     build_ghz_hamiltonian,
     build_three_level,
-    build_three_level_ideal,
     build_tunneling,
     build_two_level,
 )
 
-from oracles import brute_force_three_qubit_h, kron_three_qubit_h, qubit_permutation_operator
+from oracles import (
+    brute_force_three_qubit_h,
+    build_three_level_ideal,
+    kron_three_qubit_h,
+    qubit_permutation_operator,
+)
 
 OMEGA, PHI_Y, ETA = 0.05, -math.pi / 2, -0.2
 

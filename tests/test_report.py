@@ -245,6 +245,69 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "20001" in err and "1000" in err
 
+    @pytest.mark.parametrize("raw,rows", ROW_BUDGET_CASES,
+                             ids=[f"{raw['mode']}-{rows}" for raw, rows in ROW_BUDGET_CASES])
+    def test_row_budget_is_the_largest_run_built(self, raw, rows, monkeypatch, capsys):
+        built = []
+        for name in ("run_zeno", "run_unitary", "run_tunneling"):
+            def counted(*args, _run=getattr(report, name), **kwargs):
+                trace = _run(*args, **kwargs)
+                built.append(len(trace.times))
+                return trace
+            monkeypatch.setattr(report, name, counted)
+        if raw["mode"] == "ncrit":
+            # no Zeno run reaches a baseline of 2, so the scan runs up to n_max
+            monkeypatch.setattr(report, "run_unitary", lambda *args, **kwargs: SimulationTrace(
+                np.zeros(2), np.zeros((2, 3)), np.full(2, 2.0)))
+        assert run_scenario(overrides=raw) == 0
+        assert max(built) == rows
+
+    @pytest.mark.parametrize("gamma,t_total", [(0.0, 5.0), (40.0, 5.0), (123.4, 1.7)])
+    def test_default_steps_are_resolved_into_the_config(self, gamma, t_total):
+        cfg = validate_config({"mode": "tunneling", "omega": OMEGA, "gamma": gamma,
+                               "t_total": t_total})
+        h = build_tunneling(OMEGA, ETA, gamma)
+        assert cfg.steps == len(run_tunneling(h, ground_state(), t_total).times) - 1
+
+    def test_row_budget_runs_before_the_mode_check(self, tmp_path, capsys):
+        # the Zeno and sweep checks do float arithmetic with n, which an n past
+        # the float range would overflow
+        out = tmp_path / "never.csv"
+        big = 10 ** 400
+        for schedule in (["--dt", "0.1"], ["--t-total", "5"]):
+            argv = ["three-level-zeno", "--omega", "0.05", "--n", str(big), *schedule,
+                    "--out", str(out)]
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: mode 'three_level_zeno' would build {big + 1} rows")
+            assert err.count("\n") == 1
+        for keys in ({"axis": "dt", "axis_values": [0.1, 0.2], "omega": 0.05, "n": big},
+                     {"axis": "n", "axis_values": [2, big], "omega": 0.05, "t_total": 5.0}):
+            path = write_config(tmp_path, mode="sweep", out=str(out), **keys)
+            assert run_scenario(path) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_row_count_too_long_to_print_is_a_config_error(self, tmp_path, capsys):
+        # n_max + 1 has 4,301 digits, one more than an int may be printed with
+        path = write_config(tmp_path, mode="ncrit", omega=0.05, t_total=5.0,
+                            n_max=int("9" * 4300))
+        assert run_scenario(path) == 1
+        assert capsys.readouterr().err == (
+            "config error: mode 'ncrit' would build inf rows in one run; the limit is 2000000\n")
+
+    def test_integer_past_the_float_range_is_not_finite(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        for key, keys in (("g", {"mode": "ghz", "g": 10 ** 400, "g_tilde": 0.005}),
+                          ("axis_values", {"mode": "sweep", "axis": "gamma",
+                                           "axis_values": [1, 10 ** 400], "omega": 0.05,
+                                           "t_total": 5.0})):
+            path = write_config(tmp_path, out=str(out), **keys)
+            assert run_scenario(path) == 1
+            assert capsys.readouterr().err == f"config error: key {key!r} must be finite, got inf\n"
+        assert not out.exists()
+
     def test_load_config_round_trip(self, tmp_path):
         path = write_config(tmp_path, mode="ghz", g=0.02, g_tilde=0.005)
         cfg = load_config(path)
@@ -262,6 +325,20 @@ class TestConfigValidation:
         path.write_text("{mode: nope", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
+
+    def test_load_config_rejects_unreadable_json(self, tmp_path, capsys):
+        # bytes that are not UTF-8, and an integer past the 4,300-digit parse limit
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"mode": "ghz", "g": 0.02, "g_tilde": 0.005, "out": "\xff"}')
+        long_int = tmp_path / "long.json"
+        long_int.write_text('{"mode": "ghz", "g": 0.02, "g_tilde": 1' + "0" * 5000 + "}",
+                            encoding="utf-8")
+        for path in (not_utf8, long_int):
+            assert run_scenario(str(path)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: config {path} is not valid JSON: ")
+            assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["latin1.json", "long.json"]
 
 
 def n_of(trace):
