@@ -11,7 +11,10 @@ Three regimes are implemented:
                    probabilities, summed as logarithms;
   * run_tunneling  exact evolution under a non-Hermitian Hamiltonian whose
                    top level decays; the state norm shrinks and survival is
-                   the population remaining in the two computational levels.
+                   the population remaining outside the leak level.
+
+Every runner checks its inputs through one function, _check_run, and takes
+any dimension >= 2; the leak (monitored) level is always the last one.
 
 run_unitary and run_tunneling share one kernel, _evolve: every sample is
 exp(-iHt)|psi0> evaluated directly from t = 0 through one
@@ -39,8 +42,9 @@ from operator import mul
 
 import numpy as np
 
+from .linalg import _as_square, _as_vector, _check_exponent, is_hermitian, mat_exp
 # `apply` is unused here; bench/traced_child.py wraps engine.apply by name.
-from .linalg import _check_exponent, apply, is_hermitian, mat_exp  # noqa: F401
+from .linalg import apply  # noqa: F401
 
 __all__ = [
     "PhysicsError",
@@ -132,14 +136,21 @@ def two_level_survival_closed_form(v: float, t_total: float, n: int) -> float:
     return (1.0 - q / n**2) ** n
 
 
-def _check_unit_state(psi: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"state must be a 1-d vector, got shape {v.shape}")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state must be normalized, got norm {nrm}")
-    return v
+def _check_run(h, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray]:
+    """The input contract of every runner: a finite square H of dim >= 2, a
+    finite normalized psi0 of the same dim and a positive finite T."""
+    hm = _as_square(h, "h")
+    psi = _as_vector(psi0, "psi0")
+    if hm.shape[0] < 2:
+        raise ValueError("h must have dim >= 2: the last level is the leak level")
+    if psi.shape[0] != hm.shape[0]:
+        raise ValueError("dimension mismatch between h and psi0")
+    nrm = np.linalg.norm(psi)
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValueError(f"psi0 must be normalized, got norm {nrm}")
+    if not (math.isfinite(t_total) and t_total > 0):
+        raise ValueError(f"t_total must be positive, got {t_total!r}")
+    return hm, psi
 
 
 def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -174,14 +185,9 @@ def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> Simu
     top (monitored) level, 1 - p_dim(t); its final entry is the
     single-measurement survival at time T.
     """
-    hm = np.asarray(h, dtype=complex)
+    hm, psi = _check_run(h, psi0, t_total)
     if not is_hermitian(hm):
         raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
-    psi = _check_unit_state(psi0)
-    if psi.shape[0] != hm.shape[0]:
-        raise ValueError("dimension mismatch between h and psi0")
-    if not (math.isfinite(t_total) and t_total > 0):
-        raise ValueError(f"t_total must be positive, got {t_total!r}")
     samples = _check_count("samples", samples, minimum=2)
 
     times = np.linspace(0.0, t_total, samples)
@@ -196,25 +202,18 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     Each of the n intervals evolves the state by exp(-iH dt); the
     pre-measurement leak probability enters the survival and the projected,
     renormalized state continues (and is what the trace records, so the
-    trace leak population is identically zero).  The leak level is the last
-    one, for the two- and the three-level model alike.
+    trace leak population is identically zero).
 
     Survival is summed in the log domain: a running product of the factors
     1 - leak would round each factor near 1 and lose the small deficit 1 - W.
     """
-    hm = np.asarray(h, dtype=complex)
+    hm, psi = _check_run(h, psi0, schedule.t_total)
     if not is_hermitian(hm):
         raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
-    psi = _check_unit_state(psi0)
-    dim = hm.shape[0]
-    if dim not in (2, 3):
-        raise ValueError(f"no computational projector for dim {dim}")
-    if psi.shape[0] != dim:
-        raise ValueError("dimension mismatch between h and psi0")
     if abs(psi[-1]) > 1e-10:
         raise ValueError("psi0 must lie in the monitored (computational) subspace")
 
-    # Plain Python complex arithmetic: at dim <= 3 a step is a few
+    # Plain Python complex arithmetic: at dim 2 or 3 a step is a few
     # microseconds, below the overhead of the numpy calls it replaces.
     rows = mat_exp(hm, -1j * schedule.dt).tolist()
     amps = psi.tolist()
@@ -247,7 +246,7 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     survival = np.minimum.accumulate(np.exp(log_survival))
     return SimulationTrace(
         times=schedule.dt * np.arange(n + 1),
-        populations=np.frombuffer(populations).reshape(n + 1, dim),
+        populations=np.frombuffer(populations).reshape(n + 1, len(psi)),
         survival=survival,
     )
 
@@ -273,30 +272,21 @@ def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None) -> Simul
     sampled at steps + 1 evenly spaced times.
 
     The state is never renormalized; the lost norm is the probability that
-    the monitored level tunneled out.  Survival is the population of the two
-    computational levels, |a_1|^2 + |a_2|^2.
+    the monitored level tunneled out.  Survival is the population outside
+    the leak level, |a_1|^2 + ... + |a_{dim-1}|^2.
     """
-    hm = np.asarray(h_nh, dtype=complex)
-    if hm.shape != (3, 3):
-        raise ValueError(f"h_nh must be 3x3, got shape {hm.shape}")
+    hm, psi = _check_run(h_nh, psi0, t_total)
     # Decay part K from H = H_herm - iK; gain (negative eigenvalue of K) is invalid.
     decay_rates = np.linalg.eigvalsh(0.5j * (hm - hm.conj().T))
     if decay_rates[0] < -1e-12:
         raise ValueError("anti-Hermitian part has gain; decay rates must be >= 0")
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (3,):
-        raise ValueError("psi0 must be a 3-vector")
-    if np.linalg.norm(psi) > 1.0 + 1e-10:
-        raise ValueError("psi0 must have norm <= 1")
-    if not (math.isfinite(t_total) and t_total > 0):
-        raise ValueError(f"t_total must be positive, got {t_total!r}")
     if steps is None:
         steps = default_tunneling_steps(2.0 * float(decay_rates[-1]), t_total)
     steps = _check_count("steps", steps)
 
     times = np.linspace(0.0, t_total, steps + 1)
     populations = np.abs(_evolve(hm, psi, times)) ** 2
-    survival = populations[:, 0] + populations[:, 1]
+    survival = populations[:, :-1].sum(axis=1)
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply, kron, mat_exp
+from .linalg import _as_vector, apply, kron, mat_exp
 from .models import SIGMA_X, SIGMA_Y, build_ghz_hamiltonian
 
 __all__ = [
@@ -81,7 +81,7 @@ def run_ghz_protocol(g: float, g_tilde: float) -> tuple[np.ndarray, GhzDiagnosti
 
 def ghz_fidelity(psi) -> GhzDiagnostics:
     """Diagnostics of a normalized 8-dimensional state vector."""
-    v = np.asarray(psi, dtype=complex)
+    v = _as_vector(psi)
     if v.shape != (8,):
         raise ValueError(f"state must have dim 8, got shape {v.shape}")
     nrm = np.linalg.norm(v)

@@ -43,11 +43,14 @@ def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def _check_exponent(w: np.ndarray, scale: float) -> None:
-    """Raise ValueError if an exponent s*w_k, scale = |Re s| + |Im s|, overflows."""
+    """Raise ValueError if an exponent s*w_k, scale = |Re s| + |Im s|, overflows
+    or is so large (>= 2**52) that its last place is a radian or more."""
     # Python floats: an overflowing product is inf, with no numpy warning.
     part = float(np.abs(w.view(float)).max())
     if not np.isfinite(part * scale):
         raise ValueError(f"exponent {part:.6g} * {scale:.6g} is past the float range")
+    if part * scale >= 2.0**52:
+        raise ValueError(f"exponent {part:.6g} * {scale:.6g} >= 2**52 has no digit left")
 
 
 def _expm_scaling_squaring(b: np.ndarray, terms: int = 24) -> np.ndarray:

@@ -214,6 +214,36 @@ def test_phase_past_the_float_range_is_one_runtime_error(mode, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+# Runs whose phase |lambda| * t is finite but 2**52 or more: its last place is
+# a radian or more, so W would be pure rounding.
+PHASE_WITH_NO_DIGIT_LEFT = {
+    "no_zeno_1e17": ["no-zeno", "--omega", "0.05", "--t-total", "1e17"],
+    "no_zeno_1e300": ["no-zeno", "--omega", "0.05", "--t-total", "1e300"],
+    "three_level_zeno_1e17": ["three-level-zeno", "--omega", "0.05", "--n", "1",
+                              "--t-total", "1e17"],
+    # entangling time pi/(2|g - g_tilde|) = 1.4e16 at |lambda| = 1.5
+    "ghz_near_equal_couplings": ["ghz", "--g", "1", "--g-tilde", "0.9999999999999999"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PHASE_WITH_NO_DIGIT_LEFT))
+def test_phase_with_no_digit_left_is_one_runtime_error(case, tmp_path):
+    argv = PHASE_WITH_NO_DIGIT_LEFT[case] + ["--out", "out.csv"]
+    result = run_cli(argv, tmp_path, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("runtime error: ")
+    assert "has no digit left" in result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_phase_below_2_to_the_52_still_runs(capsys):
+    # max |lambda| * T is about 2.2e15 here, below 2**52 = 4.5e15
+    assert main(["no-zeno", "--omega", "0.05", "--t-total", "1e16"]) == 0
+    assert capsys.readouterr().out.startswith("mode=no_zeno T=10000000000000000 W=")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 def test_out_dev_stdout_into_a_file_keeps_the_summary(tmp_path):
     flags = ["no-zeno", "--omega", "0.05", "--t-total", "5"]
@@ -228,9 +258,7 @@ def test_out_dev_stdout_into_a_file_keeps_the_summary(tmp_path):
 
 def test_module_entry_point(tmp_path):
     # end-to-end: separate interpreter, real exit code and stdout
-    result = subprocess.run(
-        [sys.executable, "-m", "zenosim.cli", "ghz", "--g", "0.02", "--g-tilde", "0.005"],
-        capture_output=True, text=True, timeout=60,
-    )
+    result = run_cli(["ghz", "--g", "0.02", "--g-tilde", "0.005"], tmp_path,
+                     capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("mode=ghz")

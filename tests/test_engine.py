@@ -93,6 +93,8 @@ class TestRunUnitary:
         v, t = 0.17, 6.0
         trace = run_unitary(build_two_level(v), ground_state(2), t, samples=31)
         assert abs(trace.populations[-1, 1] - math.sin(v * t) ** 2) <= 1e-10
+        # survival is the population outside the last level at dim 2 too
+        assert abs(trace.survival[-1] - math.cos(v * t) ** 2) <= 1e-12
 
     def test_zero_drive_is_constant(self):
         h = build_three_level(0.0, PHI_Y, ETA)
@@ -345,3 +347,70 @@ class TestTraceInvariants:
         h = build_three_level(OMEGA, PHI_Y, ETA)
         trace = run_unitary(h, ground_state(3), 5.0, samples=2)
         assert abs(trace.survival[-1] - FROZEN_BASELINE) <= 1e-12
+
+
+def ladder(dim: int, omega: float, eta: float, gamma: float) -> np.ndarray:
+    """A driven ladder with sqrt(k) couplings; its last level is detuned by
+    eta and decays at rate gamma."""
+    h = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim - 1):
+        h[k, k + 1] = h[k + 1, k] = omega * math.sqrt(k + 1)
+    h[-1, -1] = eta - 0.5j * gamma
+    return h
+
+
+class TestAnyDimension:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_tunneling_against_fine_step_oracle(self, dim):
+        h = ladder(dim, 0.3, ETA, 4.0)
+        trace = run_tunneling(h, ground_state(dim), 5.0, steps=50)
+        psi = fine_step_final_state(h, ground_state(dim), 5.0, delta=1e-4)
+        np.testing.assert_allclose(trace.populations[-1], np.abs(psi) ** 2, atol=1e-10)
+        # survival is the population outside the last level, at every row
+        np.testing.assert_array_equal(trace.survival, trace.populations[:, :-1].sum(axis=1))
+        assert trace.populations.shape == (51, dim)
+        assert trace.survival[-1] < 1.0 - 1e-3
+
+    def test_zeno_on_a_four_level_ladder(self):
+        h = ladder(4, 0.3, ETA, 0.0)
+        trace = run_zeno(h, ground_state(4), ZenoSchedule(50, 0.1))
+        oracle = zeno_survival_taylor(h, np.diag([1, 1, 1, 0]), ground_state(4), 50, 0.1)
+        assert abs(trace.survival[-1] - oracle) <= 1e-12
+        assert trace.survival[-1] < 1.0 - 1e-4
+        assert trace.populations.shape == (51, 4)
+        assert np.all(trace.populations[:, 3] == 0.0)
+
+
+RUNNERS = {
+    "unitary": lambda h, psi: run_unitary(h, psi, 1.0, samples=3),
+    "zeno": lambda h, psi: run_zeno(h, psi, ZenoSchedule(2, 0.5)),
+    "tunneling": lambda h, psi: run_tunneling(h, psi, 1.0, steps=2),
+}
+
+
+def _nan_in_h():
+    h = build_three_level(OMEGA, PHI_Y, ETA)
+    h[1, 1] = np.nan
+    return h
+
+
+# (h, psi0, message) inputs that break the one input contract of every runner
+BAD_INPUTS = {
+    "nan_in_h": (_nan_in_h(), ground_state(3), "non-finite"),
+    "nan_in_psi0": (build_three_level(OMEGA, PHI_Y, ETA), [np.nan, 0, 0], "non-finite"),
+    "non_square_h": (np.zeros((3, 2)), ground_state(3), "square"),
+    "psi0_of_the_wrong_length": (build_three_level(OMEGA, PHI_Y, ETA), ground_state(2),
+                                 "dimension mismatch"),
+    "psi0_of_norm_one_half": (build_three_level(OMEGA, PHI_Y, ETA), 0.5 * ground_state(3),
+                              "normalized"),
+    "dim_1": (np.zeros((1, 1)), ground_state(1), r"dim >= 2"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+def test_every_runner_checks_its_inputs_alike(runner, bad):
+    h, psi0, message = BAD_INPUTS[bad]
+    with pytest.raises(ValueError, match=message):
+        RUNNERS[runner](h, psi0)

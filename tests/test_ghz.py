@@ -150,3 +150,7 @@ class TestGhzFidelity:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             ghz_fidelity(np.full(8, 0.5, dtype=complex) * 2)
+
+    def test_rejects_a_non_finite_state(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            ghz_fidelity([np.nan] + [0.0] * 7)

@@ -83,8 +83,11 @@ class TestMatExp:
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_phase_past_the_float_range(self):
+        assert np.all(np.isfinite(mat_exp(np.diag([1e15, 0.0]), -1j)))
         h = np.diag([1e308, 0.0])
-        assert np.all(np.isfinite(mat_exp(h, -1j)))
+        # finite, but the last place of the phase 1e308 is far more than a radian
+        with pytest.raises(ValueError, match="has no digit left"):
+            mat_exp(h, -1j)
         with pytest.raises(ValueError, match="past the float range"):
             mat_exp(h, -2j)
 
