@@ -369,8 +369,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Rows formatted per `%` call when a trace is written.
-_BLOCK_ROWS = 4096
+# Rows formatted per kernel call when a trace is written; the kernel's working
+# set (about 1.5 MB) does not grow with the trace.
+_BLOCK_ROWS = 1024
 
 
 def _write_csv(path, header: str, chunks: Iterable[str]) -> None:
@@ -428,13 +429,15 @@ def _is_file(target, st: os.stat_result) -> bool:
         return False
 
 
-def _format_blocks(table: np.ndarray) -> Iterator[str]:
-    """Yield a float table as CSV text, `_BLOCK_ROWS` rows per `%` call;
-    `%.17g` writes the same digits as `_fmt`."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), _BLOCK_ROWS):
-        block = table[start:start + _BLOCK_ROWS]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+def _format_blocks(table: list[np.ndarray]) -> Iterator[str]:
+    """Yield equal-length float columns as CSV text, `_BLOCK_ROWS` rows per
+    kernel call, each cell with the bytes `%.17g` gives it."""
+    # Imported here, so that only a run that writes a trace compiles it.
+    from ._g17 import format_block
+
+    for start in range(0, len(table[0]), _BLOCK_ROWS):
+        yield format_block(np.stack([col[start:start + _BLOCK_ROWS] for col in table],
+                                    axis=1, dtype=float))
 
 
 def emit_trace_csv(trace: SimulationTrace, path) -> None:
@@ -443,11 +446,9 @@ def emit_trace_csv(trace: SimulationTrace, path) -> None:
     n_rows, dim = trace.populations.shape
     if dim > 3:
         raise ValueError(f"trace CSV holds at most three levels, got dim {dim}")
-    table = np.zeros((n_rows, 5))
-    table[:, 0] = trace.times
-    table[:, 1:1 + dim] = trace.populations
-    table[:, 4] = trace.survival
-    _write_csv(path, "t,p1,p2,p3,W", _format_blocks(table))
+    levels = [trace.populations[:, j] for j in range(dim)]
+    levels += [np.broadcast_to(0.0, n_rows)] * (3 - dim)
+    _write_csv(path, "t,p1,p2,p3,W", _format_blocks([trace.times, *levels, trace.survival]))
 
 
 def emit_sweep_csv(result: SweepResult, path) -> None:

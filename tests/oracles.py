@@ -6,7 +6,8 @@ eigendecomposition), the fine-step integrator is a fourth-order Taylor
 stepper driven by matrix powers, and the three-qubit Hamiltonian is built
 both by basis-index bookkeeping and by Kronecker algebra, so whichever way
 the package builds it, one oracle takes the other way.  The leak-free
-three-level Hamiltonian is written out by hand.
+three-level Hamiltonian is written out by hand, and CSV text is plain `%`
+formatting, one cell at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ def taylor_expm(a, s: complex = 1.0, terms: int = 40) -> np.ndarray:
         term = term @ (s * a) / k
         acc = acc + term
     return acc
+
+
+def csv_17g(table) -> str:
+    """CSV text of a 2-D float table, every cell by plain `%.17g`."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n"
+                   for row in np.asarray(table, dtype=float).tolist())
 
 
 def fine_step_final_state(h, psi0, t_total: float, delta: float = 1e-5) -> np.ndarray:

@@ -3,12 +3,14 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from zenosim import cli, report
+from zenosim import _g17, cli, report
 from zenosim.engine import (
     SimulationTrace,
     ZenoSchedule,
@@ -30,6 +32,7 @@ from zenosim.report import (
     validate_config,
 )
 
+import oracles
 from test_engine import FROZEN_W_ZENO
 
 OMEGA, ETA = 0.05, -0.2
@@ -40,6 +43,16 @@ def write_config(tmp_path, name="config.json", **keys):
     path = tmp_path / name
     path.write_text(json.dumps(keys), encoding="utf-8")
     return str(path)
+
+
+def assert_same_lines(text, expected):
+    """Equal texts, or a message naming the first line that differs (pytest's
+    own diff of two long texts takes minutes)."""
+    if text != expected:
+        got, want = text.splitlines(True), expected.splitlines(True)
+        row = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                   min(len(got), len(want)))
+        pytest.fail(f"line {row}: {got[row:row + 1]} != {want[row:row + 1]}")
 
 
 def ground_state(dim=3):
@@ -573,6 +586,74 @@ class TestTraceCsv:
         missing = tmp_path / "no_such_dir" / "x.csv"
         with pytest.raises(OSError, match="no_such_dir"):
             emit_trace_csv(trace, missing)
+
+
+class TestTraceCsvKernel:
+    """Trace CSVs hold the bytes `%.17g` writes, cell for cell."""
+
+    @staticmethod
+    def assert_as_percent(values, cols=5):
+        values = np.asarray(values, dtype=float).ravel()
+        table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+        text = "".join(report._format_blocks(list(table.T)))
+        assert_same_lines(text, oracles.csv_17g(table))
+        return text
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, 200_000, dtype=np.uint64)
+        self.assert_as_percent(bits.view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        p = 10.0 ** np.arange(-300, 301)
+        self.assert_as_percent([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+    def test_notation_switch_points(self):
+        points = np.array([1e-05, 1e16, 1e17])
+        text = self.assert_as_percent(
+            [points, np.nextafter(points, 0), np.nextafter(points, np.inf)], cols=3)
+        # %g keeps fixed notation for exponents -4 to 16.
+        assert text.splitlines()[1] == "9.9999999999999991e-06,9999999999999998,99999999999999984"
+        assert text.splitlines()[0] == "1.0000000000000001e-05,10000000000000000,1e+17"
+
+    def test_tie_and_subnormal_go_through_the_fallback(self, monkeypatch):
+        tie = 1000001 * 2.0 ** -17  # 7.62940216064453125 exactly
+        sent = []
+
+        def fallback(x):
+            sent.append(x)
+            return "%.17g" % x
+
+        monkeypatch.setattr(_g17, "_fallback", fallback)
+        text = self.assert_as_percent([0.5, tie, 5e-324, -tie, 1.0])
+        assert text == "0.5,7.6294021606445312,4.9406564584124654e-324,-7.6294021606445312,1\n"
+        assert sent == [tie, 5e-324, -tie]
+
+    def test_zeros_extremes_and_negatives(self):
+        values = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e-280, 1e280, 2.5e-281,
+                  math.inf, math.nan, 0.25, 123456789.0, 3e-5, 1.5e200]
+        text = self.assert_as_percent(values + [-v for v in values], cols=13)
+        assert text.startswith("0,-0,4.9406564584124654e-324,1.7976931348623157e+308,")
+        assert text.splitlines()[1].startswith("-0,0,-4.9406564584124654e-324,")
+
+    def test_whole_tunneling_trace(self, tmp_path):
+        trace = run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(), 5.0)
+        assert len(trace.times) == 20_001
+        path = tmp_path / "g40.csv"
+        emit_trace_csv(trace, path)
+        table = np.column_stack([trace.times, trace.populations, trace.survival])
+        assert_same_lines(path.read_text(encoding="utf-8"),
+                          "t,p1,p2,p3,W\n" + oracles.csv_17g(table))
+
+    def test_import_builds_no_table(self):
+        # Only a run that writes a trace imports the kernel, and the import
+        # builds no table row.
+        src = os.path.dirname(os.path.dirname(report.__file__))
+        probe = ("import sys, zenosim.cli; assert 'zenosim._g17' not in sys.modules; "
+                 "import zenosim._g17 as g; "
+                 "assert not (g._SCALES.built.any() or g._LAYOUTS.built.any()); "
+                 "assert g._digit_pairs.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestCsvWriter:
