@@ -95,12 +95,14 @@ class _LazyRows:
         self.built = np.zeros(size, dtype=bool)
         self.build = build
 
-    def take(self, keys: np.ndarray) -> np.ndarray:
+    def take(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         new = np.flatnonzero((np.bincount(keys, minlength=len(self.built)) > 0) & ~self.built)
         for key in new.tolist():
             self.rows[key] = self.build(key)
         self.built[new] = True
-        return self.rows.take(keys, axis=0)
+        # k lies in [-281, 280] and a layout key below 34 * 27, so "clip" moves
+        # no key; in the default mode "raise", numpy would buffer `out`.
+        return self.rows.take(keys, axis=0, out=out, mode="clip")
 
 
 _SCALES = _LazyRows(_K_MAX - _K_MIN + 1, 3, np.float64, _scale)
@@ -119,8 +121,18 @@ def _digit_pairs() -> tuple[np.ndarray, np.ndarray]:
     return ascii.astype(np.uint8).view(np.uint16).ravel(), lasts
 
 
-def format_block(block: np.ndarray) -> str:
-    """CSV text of a 2-D float block, each cell as `%.17g` writes it."""
+def _kept(work: dict, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
+    """An uninitialized array on a buffer that `work` keeps for the next block."""
+    size = shape[0] * shape[1]
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+def format_block(block: np.ndarray, work: dict) -> str:
+    """CSV text of a 2-D float block, each cell as `%.17g` writes it; `work`
+    keeps block-sized buffers for the next call, so none is mapped afresh."""
     rows, cols = block.shape
     x = block.ravel()
     a = np.abs(x)
@@ -145,7 +157,7 @@ def format_block(block: np.ndarray) -> str:
     d = np.where(ok, d, 10 ** 16)
     first9 = d // 10 ** 8
     halves = np.stack([first9, d - first9 * 10 ** 8]).astype(np.int32)
-    pairs = np.empty((11, x.size), np.int32)
+    pairs = _kept(work, "pairs", (11, x.size), np.int32)
     for i in range(3, -1, -1):
         q = halves // 100
         pairs[1:9].reshape(2, 4, -1)[:, i] = halves - q * 100
@@ -153,7 +165,7 @@ def format_block(block: np.ndarray) -> str:
     pairs[0] = halves[0]
     pairs[9], pairs[10] = np.divmod(np.abs(k), 100)
     words, lasts = _digit_pairs()
-    src = np.empty((x.size, 16), np.uint16)
+    src = _kept(work, "src", (x.size, 16), np.uint16)
     src[:, 1:12] = words.take(pairs).T
     tail = np.empty((cols, 4), np.uint16)
     tail[:] = np.frombuffer(_TAIL, np.uint16)
@@ -165,10 +177,13 @@ def format_block(block: np.ndarray) -> str:
     kind = np.where((k >= -4) & (k < 17), k + 4, _EXP_KIND + 2 * (k > 0) + (np.abs(k) >= 100))
     kind = np.where(ok, kind, np.where(zero, _ZERO_KIND, _FALLBACK_KIND))
     key = (kind * 17 + np.where(ok, last, 0)) * 2 + (np.signbit(x) & (ok | zero))
-    index = _LAYOUTS.take(key)
+    index = _LAYOUTS.take(key, _kept(work, "index", (x.size, _WIDTH), np.intp))
     index += np.arange(0, 32 * x.size, 32)[:, None]
-    out = src.view(np.uint8).ravel().take(index)
-    text = out[out != 0].tobytes().decode("ascii")
+    # Every index is below 32 * x.size: a layout's source bytes are 0-31.
+    out = src.view(np.uint8).ravel().take(index, out=_kept(work, "out", index.shape, np.uint8),
+                                          mode="wrap")
+    mask = np.not_equal(out, 0, out=_kept(work, "mask", out.shape, bool))
+    text = out[mask].tobytes().decode("ascii")
     fallback = np.flatnonzero(kind == _FALLBACK_KIND)
     if not fallback.size:
         return text

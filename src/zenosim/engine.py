@@ -16,12 +16,12 @@ Three regimes are implemented:
 Every runner checks its inputs through one function, _check_run, and takes
 any dimension >= 2; the leak (monitored) level is always the last one.
 
-run_unitary and run_tunneling share one kernel, _evolve: every sample is
-exp(-iHt)|psi0> evaluated directly from t = 0 through one
-eigendecomposition of H (near an exceptional point, through one matrix
-exponential per sample), so no sample carries the rounding of the ones
-before it, and the value at T does not depend on how many samples precede
-it.
+run_unitary and run_tunneling share one kernel, _evolve: the populations
+of exp(-iHt)|psi0>, each sample evaluated directly from t = 0 through one
+eigendecomposition of H (near an exceptional point, one matrix exponential
+per sample) and a fixed block of samples at a time, so neither a sample nor
+a block carries the rounding of the ones before it, and the value at T does
+not depend on how many samples precede it.
 
 Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
@@ -72,6 +72,10 @@ DEFAULT_SAMPLES = 101
 # eta = -0.0295, gamma = 0.220), and each sample is formed as
 # mat_exp(H, -it) @ psi0 instead.
 EIGVEC_COND_MAX = 1e4
+
+# Rows _evolve forms per pass: a power of two, so that every column meets the
+# gemm kernel (unrolled over a few columns) it meets in one all-row product.
+_EVOLVE_BLOCK = 4096
 
 
 class PhysicsError(RuntimeError):
@@ -154,28 +158,33 @@ def _check_run(h, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States exp(-iHt)|psi0> at each t of times (times[0] = 0), one row each.
+    """Populations |exp(-iHt)|psi0>|^2 at each t of times (times[0] = 0).
 
-    Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition,
-    eigh for Hermitian H and eig otherwise; an ill-conditioned V (see
-    EIGVEC_COND_MAX) takes one mat_exp per row instead.  Row 0 is psi0
-    itself: the eigenbasis round trip would move it by an ulp.
+    Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition
+    (eigh for Hermitian H, else eig), _EVOLVE_BLOCK rows at a time from t = 0;
+    an ill-conditioned V (see EIGVEC_COND_MAX) takes one mat_exp per row.
+    Row 0 is |psi0|^2 itself: the eigenbasis round trip would move it an ulp.
     """
     hermitian = is_hermitian(h)
     w, vecs = np.linalg.eigh(h) if hermitian else np.linalg.eig(h)
     _check_exponent(w, float(times[-1]))
+    populations = np.empty((len(times), len(psi0)))
     if not hermitian and np.linalg.cond(vecs) > EIGVEC_COND_MAX:
-        # mat_exp(h, 0) is the identity, so row 0 is psi0 here too.
-        return np.array([mat_exp(h, -1j * t) @ psi0 for t in times])
+        # mat_exp(h, 0) is the identity, so row 0 is |psi0|^2 here too.
+        for row, t in zip(populations, times):
+            row[:] = np.abs(mat_exp(h, -1j * t) @ psi0) ** 2
+        return populations
     coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
-    # In place: at 200,001 samples each temporary of this size is 9.6 MB,
-    # and freed ones stay resident.
-    phases = np.outer(-1j * w, times)
-    np.exp(phases, out=phases)
-    phases *= coef[:, None]
-    states = (vecs @ phases).T
-    states[0] = psi0
-    return states
+    # numpy sends a one-column product to gemv, not gemm, so a lone last row
+    # joins the block before it.
+    starts = range(0, len(times) - 1, _EVOLVE_BLOCK)
+    for start, stop in zip(starts, [*starts[1:], len(times)]):
+        phases = np.outer(-1j * w, times[start:stop])
+        np.exp(phases, out=phases)
+        phases *= coef[:, None]
+        populations[start:stop] = np.abs((vecs @ phases).T) ** 2
+    populations[0] = np.abs(psi0) ** 2
+    return populations
 
 
 def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
@@ -191,7 +200,7 @@ def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> Simu
     samples = _check_count("samples", samples, minimum=2)
 
     times = np.linspace(0.0, t_total, samples)
-    populations = np.abs(_evolve(hm, psi, times)) ** 2
+    populations = _evolve(hm, psi, times)
     survival = 1.0 - populations[:, -1]
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
@@ -285,7 +294,7 @@ def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None) -> Simul
     steps = _check_count("steps", steps)
 
     times = np.linspace(0.0, t_total, steps + 1)
-    populations = np.abs(_evolve(hm, psi, times)) ** 2
+    populations = _evolve(hm, psi, times)
     survival = populations[:, :-1].sum(axis=1)
     return SimulationTrace(times=times, populations=populations, survival=survival)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import os
 import stat
@@ -54,9 +53,9 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-# The most rows one engine run of a scenario may build (about 350 MB of
-# engine arrays at ~176 bytes per row); a config above it is rejected before
-# anything is allocated.
+# The most rows one engine run of a scenario may build (at dim 3, 40 bytes per
+# row plus one fixed block for a unitary or tunneling run, 80 MB at the limit;
+# near 66 for a Zeno run); a config above it is rejected before any allocation.
 MAX_TRACE_ROWS = 2_000_000
 
 
@@ -280,6 +279,7 @@ def load_config(path) -> ScenarioConfig:
 
 
 def _load_raw(path) -> dict:
+    import json  # only a run with --config reads JSON; numpy does not import it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -370,7 +370,7 @@ def _fmt(x: float) -> str:
 
 
 # Rows formatted per kernel call when a trace is written; the kernel's working
-# set (about 1.5 MB) does not grow with the trace.
+# set (about 1.5 MB, kept from block to block) does not grow with the trace.
 _BLOCK_ROWS = 1024
 
 
@@ -435,9 +435,10 @@ def _format_blocks(table: list[np.ndarray]) -> Iterator[str]:
     # Imported here, so that only a run that writes a trace compiles it.
     from ._g17 import format_block
 
+    work: dict = {}
     for start in range(0, len(table[0]), _BLOCK_ROWS):
         yield format_block(np.stack([col[start:start + _BLOCK_ROWS] for col in table],
-                                    axis=1, dtype=float))
+                                    axis=1, dtype=float), work)
 
 
 def emit_trace_csv(trace: SimulationTrace, path) -> None:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from zenosim import engine
 from zenosim.engine import (
     DegenerateProjectionError,
     SimulationTrace,
@@ -21,7 +23,12 @@ from zenosim.models import (
     build_two_level,
 )
 
-from oracles import build_three_level_ideal, fine_step_final_state, zeno_survival_taylor
+from oracles import (
+    EXCEPTIONAL_POINT,
+    build_three_level_ideal,
+    fine_step_final_state,
+    zeno_survival_taylor,
+)
 
 OMEGA, ETA = 0.05, -0.2
 PHI_Y = -math.pi / 2
@@ -414,3 +421,50 @@ def test_every_runner_checks_its_inputs_alike(runner, bad):
     h, psi0, message = BAD_INPUTS[bad]
     with pytest.raises(ValueError, match=message):
         RUNNERS[runner](h, psi0)
+
+
+SAMPLE_BLOCK_RUNS = {
+    # 10,001 rows: two whole blocks of 4,096 and a partial one.
+    "unitary": lambda: run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), 5.0,
+                                   samples=10_001),
+    # 12,289 rows = 3 * 4,096 + 1: several blocks and a lone last row.
+    "tunneling": lambda: run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(3), 5.0,
+                                       steps=12_288),
+    "exceptional_point": lambda: run_tunneling(
+        build_tunneling(EXCEPTIONAL_POINT["omega"], EXCEPTIONAL_POINT["eta"],
+                        EXCEPTIONAL_POINT["gamma"]),
+        ground_state(3), EXCEPTIONAL_POINT["t_total"], steps=50),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SAMPLE_BLOCK_RUNS))
+def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
+    monkeypatch.setattr(engine, "_EVOLVE_BLOCK", 10**9)
+    whole = SAMPLE_BLOCK_RUNS[run]()
+    # A block that is a multiple of the gemm kernel's column unroll sends
+    # every column through the kernel it meets in one product over all rows.
+    for block in (64, 4096):
+        monkeypatch.setattr(engine, "_EVOLVE_BLOCK", block)
+        trace = SAMPLE_BLOCK_RUNS[run]()
+        assert np.array_equal(trace.populations, whole.populations)
+        assert np.array_equal(trace.survival, whole.survival)
+    # Blocks of 1 and 7 rows meet other kernels, whose 3-term sums round
+    # differently: within a few ulps of the largest term, which is at most 1.
+    atol = 8 * np.finfo(float).eps
+    for block in (1, 7):
+        monkeypatch.setattr(engine, "_EVOLVE_BLOCK", block)
+        trace = SAMPLE_BLOCK_RUNS[run]()
+        np.testing.assert_allclose(trace.populations, whole.populations, rtol=0, atol=atol)
+        np.testing.assert_allclose(trace.survival, whole.survival, rtol=0, atol=atol)
+
+
+def test_tunneling_holds_no_more_than_the_trace_it_returns():
+    h = build_tunneling(OMEGA, ETA, 400.0)
+    tracemalloc.start()
+    try:
+        trace = run_tunneling(h, ground_state(3), 5.0, steps=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = trace.times.nbytes + trace.populations.nbytes + trace.survival.nbytes
+    assert peak - kept <= 1e6

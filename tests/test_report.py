@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,6 +644,20 @@ class TestTraceCsvKernel:
         table = np.column_stack([trace.times, trace.populations, trace.survival])
         assert_same_lines(path.read_text(encoding="utf-8"),
                           "t,p1,p2,p3,W\n" + oracles.csv_17g(table))
+
+    def test_memory_does_not_grow_with_the_trace(self, tmp_path):
+        # The kernel works a block at a time on buffers kept across blocks.
+        peaks = []
+        for steps in (20_000, 200_000):
+            trace = run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
+                                  steps=steps)
+            tracemalloc.start()
+            try:
+                emit_trace_csv(trace, tmp_path / "trace.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_import_builds_no_table(self):
         # Only a run that writes a trace imports the kernel, and the import
