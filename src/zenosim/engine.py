@@ -21,7 +21,11 @@ of exp(-iHt)|psi0>, each sample evaluated directly from t = 0 through one
 eigendecomposition of H (near an exceptional point, one matrix exponential
 per sample) and a fixed block of samples at a time, so neither a sample nor
 a block carries the rounding of the ones before it, and the value at T does
-not depend on how many samples precede it.
+not depend on how many samples precede it.  run_zeno follows the same rule
+with one eigendecomposition of the kept block of exp(-iH dt): check k is
+evaluated from k = 0 as a power of its eigenvalues, and its survival factor
+is still a ratio summed in the log domain (near an exceptional point of that
+block, the checks run one after another).
 
 Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
@@ -76,6 +80,9 @@ EIGVEC_COND_MAX = 1e4
 # Rows _evolve forms per pass: a power of two, so that every column meets the
 # gemm kernel (unrolled over a few columns) it meets in one all-row product.
 _EVOLVE_BLOCK = 4096
+
+# Checks run_zeno evaluates per pass: about 0.28 MB of working set at dim 3.
+_ZENO_BLOCK = 1024
 
 
 class PhysicsError(RuntimeError):
@@ -205,28 +212,13 @@ def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> Simu
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
-def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
-    """Evolve-then-measure protocol conditioned on never detecting the leak level.
-
-    Each of the n intervals evolves the state by exp(-iH dt); the
-    pre-measurement leak probability enters the survival and the projected,
-    renormalized state continues (and is what the trace records, so the
-    trace leak population is identically zero).
-
-    Survival is summed in the log domain: a running product of the factors
-    1 - leak would round each factor near 1 and lose the small deficit 1 - W.
-    """
-    hm, psi = _check_run(h, psi0, schedule.t_total)
-    if not is_hermitian(hm):
-        raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
-    if abs(psi[-1]) > 1e-10:
-        raise ValueError("psi0 must lie in the monitored (computational) subspace")
-
+def _zeno_steps(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(populations, odds) of n checks, one check after another: each
+    projected state is renormalized and evolved by U again."""
     # Plain Python complex arithmetic: at dim 2 or 3 a step is a few
     # microseconds, below the overhead of the numpy calls it replaces.
-    rows = mat_exp(hm, -1j * schedule.dt).tolist()
+    rows = u.tolist()
     amps = psi.tolist()
-    n = schedule.n
     populations = array("d", np.abs(psi) ** 2)
     odds = array("d", [0.0])
     for k in range(1, n + 1):
@@ -246,18 +238,100 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
         amps.append(0j)
         populations.extend([p / kept_sq for p in kept])
         populations.append(0.0)
+    return np.frombuffer(populations).reshape(n + 1, len(psi)), np.frombuffer(odds)
+
+
+def _zeno_modes(u: np.ndarray, psi: np.ndarray, n: int, nu: np.ndarray,
+                vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(populations, odds) of n checks, every check evaluated from k = 0.
+
+    With the kept block K = U[:-1, :-1] = V diag(mu) V^-1 and c = V^-1 psi0,
+    the state before check k is A (mu^(k-1) * c), A = U[:, :-1] V: projecting
+    and renormalizing only rescale it.  nu = mu - 1 are the eigenvalues of
+    K - I, and mu^(k-1) = exp((k-1) log1p(nu)).
+    """
+    coef = np.linalg.solve(vecs, psi[:-1])
+    # A mode psi0 does not excite must not set the scale below.
+    live = coef != 0
+    log_mu = np.log1p(nu[live])
+    # Odds and populations are ratios, so every mu may be divided by the
+    # largest |mu|: the slowest-decaying mode keeps magnitude 1 and no check
+    # underflows, however fast the run leaks.
+    log_mu -= log_mu.real.max()
+    amps = (u[:, :-1] @ vecs[:, live]) * coef[live]
+    populations = np.empty((n + 1, len(psi)))
+    populations[0] = np.abs(psi) ** 2
+    populations[1:, -1] = 0.0
+    odds = np.empty(n + 1)
+    odds[0] = 0.0
+    for start in range(1, n + 1, _ZENO_BLOCK):
+        stop = min(start + _ZENO_BLOCK, n + 1)
+        modes = np.exp(np.outer(log_mu, np.arange(start - 1, stop - 1)))
+        # Sums over modes and over levels, elementwise and in a fixed order,
+        # so a check rounds alike in any block.
+        a = sum(col[:, None] * mode for col, mode in zip(amps.T, modes))
+        sq = a.real ** 2 + a.imag ** 2
+        kept = sum(sq[:-1])
+        block = np.divide(sq[-1], kept, out=odds[start:stop])
+        # The check keeps 1/(1 + odds) of the probability: the squared norm
+        # of the projected state that the step loop renormalizes.
+        leaked = np.flatnonzero(block > DEGENERATE_NORM**-2)
+        if leaked.size:
+            nrm = (1.0 + block[leaked[0]]) ** -0.5
+            raise DegenerateProjectionError(
+                f"certain leakage at step {start + leaked[0]}: projected norm {nrm:.3e}"
+            )
+        np.divide(sq[:-1], kept, out=populations[start:stop, :-1].T)
+    return populations, odds
+
+
+def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
+    """Evolve-then-measure protocol conditioned on never detecting the leak level.
+
+    Each of the n intervals evolves the state by U = exp(-iH dt); the
+    pre-measurement leak probability enters the survival and the projected,
+    renormalized state continues (and is what the trace records, so the
+    trace leak population is identically zero).
+
+    Every check is evaluated directly from k = 0 through one
+    eigendecomposition of the kept block of U, _ZENO_BLOCK checks at a time,
+    so no check carries the rounding of the ones before it and the trace
+    does not depend on the block.  When that block's eigenvectors are
+    ill-conditioned (see EIGVEC_COND_MAX) the checks run one after another.
+
+    Survival is summed in the log domain: a running product of the factors
+    1 - leak would round each factor near 1 and lose the small deficit 1 - W.
+    """
+    hm, psi = _check_run(h, psi0, schedule.t_total)
+    if not is_hermitian(hm):
+        raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
+    if abs(psi[-1]) > 1e-10:
+        raise ValueError("psi0 must lie in the monitored (computational) subspace")
+
+    n = schedule.n
+    times = schedule.dt * np.arange(n + 1)
+    u = mat_exp(hm, -1j * schedule.dt)
+    # Decompose K - I, not K: eig's eigenvectors err by about eps * norm / gap,
+    # and the eigenvalues mu of K lie close together near 1, a gap only the
+    # norm of K - I is on the scale of (at n = 4,000, K's own eigenvectors
+    # moved a population cell by 2.4e-13; those of K - I by 4.9e-14).
+    nu, vecs = np.linalg.eig(u[:-1, :-1] - np.eye(len(psi) - 1))
+    if np.linalg.cond(vecs) > EIGVEC_COND_MAX:
+        populations, odds = _zeno_steps(u, psi, n)
+    else:
+        populations, odds = _zeno_modes(u, psi, n, nu, vecs)
 
     # Each check keeps kept/(kept + top) of the probability, and
     # log1p(-leak) = -log1p(odds) with odds = top/kept stays exact for a leak
     # near 0 and finite for one near 1.  exp need not be monotone to the last
-    # ulp, and W must never rise.
-    log_survival = -np.cumsum(np.log1p(np.frombuffer(odds)))
-    survival = np.minimum.accumulate(np.exp(log_survival))
-    return SimulationTrace(
-        times=schedule.dt * np.arange(n + 1),
-        populations=np.frombuffer(populations).reshape(n + 1, len(psi)),
-        survival=survival,
-    )
+    # ulp, and W must never rise.  The odds buffer becomes the survival.
+    survival = odds
+    np.log1p(survival, out=survival)
+    np.cumsum(survival, out=survival)
+    np.negative(survival, out=survival)
+    np.exp(survival, out=survival)
+    np.minimum.accumulate(survival, out=survival)
+    return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
 def default_tunneling_steps(gamma: float, t_total: float) -> int:

@@ -54,8 +54,8 @@ class ConfigError(ValueError):
 
 
 # The most rows one engine run of a scenario may build (at dim 3, 40 bytes per
-# row plus one fixed block for a unitary or tunneling run, 80 MB at the limit;
-# near 66 for a Zeno run); a config above it is rejected before any allocation.
+# row plus one fixed block, 80 MB at the limit); a config above it is rejected
+# before any allocation.
 MAX_TRACE_ROWS = 2_000_000
 
 

@@ -199,3 +199,30 @@ TUNNELING_DEFICIT_40 = {
 EXCEPTIONAL_POINT = {"omega": 0.05, "eta": -0.02949899198927462,
                      "gamma": 0.22018347375208064, "t_total": 5.0}
 EXCEPTIONAL_POINT_DEFICIT_40 = "1.645403720792723070089781857229351035273e-3"
+# Populations (p1, p2) of the reference scenario's conditioned Zeno trace
+# (omega = 0.05, eta = -0.2, T = 5 ns, n checks) after k of them, keyed by
+# (n, k), quoted to 40 digits from 60-digit mpmath.  Generated from the
+# repository root by:
+#
+#     import sys
+#     import mpmath as mp
+#     sys.path.insert(0, "bench")
+#     from reference import drive_hamiltonian
+#
+#     with mp.workdps(60):
+#         u = mp.expm(-1j * drive_hamiltonian(0.05, -0.2) * (mp.mpf(5.0) / n))
+#         col = ((mp.diag([1, 1, 0]) * u) ** k)[:, 0]
+#         p = [abs(col[i]) ** 2 for i in range(2)]
+#         print([mp.nstr(x / sum(p), 40) for x in p])
+ZENO_POPULATIONS_40 = {
+    (4000, 1000): ("0.9960988488088344770929920474299357767234",
+                   "0.003901151191165522907007952570064223276629"),
+    (4000, 2345): ("0.9786729912174371261054611941023583708074",
+                   "0.02132700878256287389453880589764162919264"),
+    (4000, 4000): ("0.9387921978914524741881166165857909847141",
+                   "0.06120780210854752581188338341420901528593"),
+    (40000, 12345): ("0.994058719648228611999655971576620436913",
+                     "0.005941280351771388000344028423379563087006"),
+    (40000, 40000): ("0.9387913726475265008324334369951638746963",
+                     "0.06120862735247349916756656300483612530367"),
+}

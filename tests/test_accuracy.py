@@ -6,6 +6,7 @@ comparison is about; W itself would hide errors in its last digits.
 
 import math
 
+import numpy as np
 import pytest
 
 from zenosim import cli, engine
@@ -18,6 +19,7 @@ from oracles import (
     EXCEPTIONAL_POINT_DEFICIT_40,
     TUNNELING_DEFICIT_40,
     ZENO_DEFICIT_40,
+    ZENO_POPULATIONS_40,
 )
 
 ETA, T = -0.2, 5.0
@@ -49,6 +51,21 @@ def test_zeno_deficit(n, rtol):
     h = build_three_level(0.05, -math.pi / 2, ETA)
     trace = run_zeno(h, [1, 0, 0], ZenoSchedule(n, T / n))
     assert relative_error(trace.survival[-1], ZENO_DEFICIT_40[n]) <= rtol
+
+
+# Both forms measured 8e-16, 1.0e-14 and 4.9e-14 at n = 4,000 and 1.4e-14 and
+# 4.5e-13 at n = 40,000: the rounding of U = exp(-iH dt), raised to the k-th
+# power.  The eigendecomposition of K itself, not of K - I, missed the n = 4,000
+# gate (2.4e-13 at k = 4,000).
+@pytest.mark.parametrize("n,atol", [(4000, 1e-13), (40000, 1e-12)])
+def test_zeno_populations(n, atol, zeno_path):
+    h = build_three_level(0.05, -math.pi / 2, ETA)
+    trace = run_zeno(h, [1, 0, 0], ZenoSchedule(n, T / n))
+    rows = {k: row for (m, k), row in ZENO_POPULATIONS_40.items() if m == n}
+    for k, row in rows.items():
+        exact = [float(p) for p in row]
+        np.testing.assert_allclose(trace.populations[k, :2], exact, rtol=0, atol=atol)
+        assert trace.populations[k, 2] == 0.0
 
 
 @pytest.mark.parametrize("omega,gamma", sorted(TUNNELING_DEFICIT_40))

@@ -199,6 +199,52 @@ class TestRunZeno:
         with pytest.raises(DegenerateProjectionError):
             run_zeno(build_two_level(1.0), ground_state(2), ZenoSchedule(1, math.pi / 2))
 
+    @pytest.mark.parametrize("h,psi0", [
+        (build_two_level(1.0), [1, 0]),
+        # the kept block's other mode, level 1, holds none of psi0
+        (np.array([[0.3, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex), [0, 1, 0]),
+    ])
+    def test_certain_leakage_raises_at_the_same_step_on_both_paths(self, h, psi0, zeno_path):
+        with pytest.raises(DegenerateProjectionError,
+                           match=r"^certain leakage at step 1: projected norm 6\.519e-17$"):
+            run_zeno(h, psi0, ZenoSchedule(5, math.pi / 2))
+
+    # Runs that leak nearly all of their state at every check; the second
+    # underflows to W = 0.
+    @pytest.mark.parametrize("omega,eta,n,dt,w", [(2.0, 0.0, 300, 1.3, 3.3643545370e-213),
+                                                  (1.0, ETA, 2000, 1.0, 0.0)])
+    def test_leaking_at_every_check(self, omega, eta, n, dt, w, zeno_path):
+        trace = run_zeno(build_three_level(omega, PHI_Y, eta), ground_state(3),
+                         ZenoSchedule(n, dt))
+        assert not np.isnan(trace.populations).any()
+        assert not np.isnan(trace.survival).any()
+        assert trace.survival[-1] == pytest.approx(w, rel=1e-10, abs=0)
+
+    def test_a_mode_the_state_does_not_excite(self, zeno_path):
+        # Level 1 is decoupled and does not decay, level 2 keeps cos^2(1/2) of
+        # its weight per check: past k ~ 2,700 a scale set by level 1 would
+        # underflow every amplitude of the state.
+        h = np.array([[0.3, 0, 0], [0, 0, 0.5], [0, 0.5, 0]], dtype=complex)
+        trace = run_zeno(h, [0, 1, 0], ZenoSchedule(3000, 1.0))
+        np.testing.assert_array_equal(trace.populations[1:], [[0.0, 1.0, 0.0]] * 3000)
+        # The running sum of log1p(odds) rounds by up to about eps * k * |log W| / 2
+        # of W: 2e-11 at k = 2,000, where log W = -523.
+        k = np.arange(2001)
+        np.testing.assert_allclose(trace.survival[k], math.cos(0.5) ** (2 * k), rtol=1e-10)
+        assert not np.isnan(trace.survival).any()
+
+    def test_near_an_exceptional_point_the_checks_run_in_steps(self, monkeypatch):
+        # The kept block's two eigenvectors nearly merge here: cond(V) = 8e4.
+        h = build_three_level(1.0, PHI_Y, 0.0)
+        schedule = ZenoSchedule(8, 1.209199576)
+        kept = mat_exp(h, -1j * schedule.dt)[:2, :2]
+        assert np.linalg.cond(np.linalg.eig(kept - np.eye(2))[1]) > engine.EIGVEC_COND_MAX
+        trace = run_zeno(h, ground_state(3), schedule)
+        monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
+        steps = run_zeno(h, ground_state(3), schedule)
+        assert np.array_equal(trace.populations, steps.populations)
+        assert np.array_equal(trace.survival, steps.survival)
+
     def test_rejects_leaked_initial_state(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
         with pytest.raises(ValueError):
@@ -434,28 +480,48 @@ SAMPLE_BLOCK_RUNS = {
         build_tunneling(EXCEPTIONAL_POINT["omega"], EXCEPTIONAL_POINT["eta"],
                         EXCEPTIONAL_POINT["gamma"]),
         ground_state(3), EXCEPTIONAL_POINT["t_total"], steps=50),
+    # 12,290 rows: whole blocks of every size below and a partial one.
+    "zeno": lambda: run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
+                             ZenoSchedule(12_289, 5.0 / 12_289)),
 }
 
 
 @pytest.mark.parametrize("run", sorted(SAMPLE_BLOCK_RUNS))
 def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
-    monkeypatch.setattr(engine, "_EVOLVE_BLOCK", 10**9)
+    def set_block(rows):
+        monkeypatch.setattr(engine, "_EVOLVE_BLOCK", rows)
+        monkeypatch.setattr(engine, "_ZENO_BLOCK", rows)
+
+    set_block(10**9)
     whole = SAMPLE_BLOCK_RUNS[run]()
     # A block that is a multiple of the gemm kernel's column unroll sends
     # every column through the kernel it meets in one product over all rows.
     for block in (64, 4096):
-        monkeypatch.setattr(engine, "_EVOLVE_BLOCK", block)
+        set_block(block)
         trace = SAMPLE_BLOCK_RUNS[run]()
         assert np.array_equal(trace.populations, whole.populations)
         assert np.array_equal(trace.survival, whole.survival)
     # Blocks of 1 and 7 rows meet other kernels, whose 3-term sums round
     # differently: within a few ulps of the largest term, which is at most 1.
-    atol = 8 * np.finfo(float).eps
+    # A Zeno row is an elementwise sum in a fixed order and meets no kernel.
+    atol = 0.0 if run == "zeno" else 8 * np.finfo(float).eps
     for block in (1, 7):
-        monkeypatch.setattr(engine, "_EVOLVE_BLOCK", block)
+        set_block(block)
         trace = SAMPLE_BLOCK_RUNS[run]()
         np.testing.assert_allclose(trace.populations, whole.populations, rtol=0, atol=atol)
         np.testing.assert_allclose(trace.survival, whole.survival, rtol=0, atol=atol)
+
+
+def test_zeno_holds_no_more_than_the_trace_it_returns():
+    h = build_three_level(OMEGA, PHI_Y, ETA)
+    tracemalloc.start()
+    try:
+        trace = run_zeno(h, ground_state(3), ZenoSchedule(200_000, 5.0 / 200_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = trace.times.nbytes + trace.populations.nbytes + trace.survival.nbytes
+    assert peak - kept <= 1e6
 
 
 def test_tunneling_holds_no_more_than_the_trace_it_returns():
