@@ -22,10 +22,10 @@ eigendecomposition of H (near an exceptional point, one matrix exponential
 per sample) and a fixed block of samples at a time, so neither a sample nor
 a block carries the rounding of the ones before it, and the value at T does
 not depend on how many samples precede it.  run_zeno follows the same rule
-with one eigendecomposition of the kept block of exp(-iH dt): check k is
-evaluated from k = 0 as a power of its eigenvalues, and its survival factor
-is still a ratio summed in the log domain (near an exceptional point of that
-block, the checks run one after another).
+with the kept block K of exp(-iH dt): check k is evaluated from k = 0 as
+K^(k-1), through one eigendecomposition of K (near an exceptional point of
+K, as a product of its binary powers), and its survival factor is still a
+ratio summed in the log domain.
 
 Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
@@ -40,9 +40,7 @@ runs may execute concurrently without coordination.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -77,12 +75,10 @@ DEFAULT_SAMPLES = 101
 # mat_exp(H, -it) @ psi0 instead.
 EIGVEC_COND_MAX = 1e4
 
-# Rows _evolve forms per pass: a power of two, so that every column meets the
-# gemm kernel (unrolled over a few columns) it meets in one all-row product.
-_EVOLVE_BLOCK = 4096
-
-# Checks run_zeno evaluates per pass: about 0.28 MB of working set at dim 3.
-_ZENO_BLOCK = 1024
+# Rows _evolve, and checks run_zeno, form per pass: about 0.28 MB of Zeno
+# working set at dim 3.  A power of two, so that every column of _evolve meets
+# the gemm kernel (unrolled over a few columns) it meets in one all-row product.
+_BLOCK = 1024
 
 
 class PhysicsError(RuntimeError):
@@ -168,28 +164,30 @@ def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Populations |exp(-iHt)|psi0>|^2 at each t of times (times[0] = 0).
 
     Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition
-    (eigh for Hermitian H, else eig), _EVOLVE_BLOCK rows at a time from t = 0;
+    (eigh for Hermitian H, else eig), _BLOCK rows at a time from t = 0;
     an ill-conditioned V (see EIGVEC_COND_MAX) takes one mat_exp per row.
     Row 0 is |psi0|^2 itself: the eigenbasis round trip would move it an ulp.
     """
     hermitian = is_hermitian(h)
     w, vecs = np.linalg.eigh(h) if hermitian else np.linalg.eig(h)
     _check_exponent(w, float(times[-1]))
-    populations = np.empty((len(times), len(psi0)))
     if not hermitian and np.linalg.cond(vecs) > EIGVEC_COND_MAX:
-        # mat_exp(h, 0) is the identity, so row 0 is |psi0|^2 here too.
-        for row, t in zip(populations, times):
-            row[:] = np.abs(mat_exp(h, -1j * t) @ psi0) ** 2
-        return populations
-    coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
+        def amplitudes(block):
+            return np.array([mat_exp(h, -1j * t) @ psi0 for t in block])
+    else:
+        coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
+
+        def amplitudes(block):
+            phases = np.outer(-1j * w, block)
+            np.exp(phases, out=phases)
+            phases *= coef[:, None]
+            return (vecs @ phases).T
+    populations = np.empty((len(times), len(psi0)))
     # numpy sends a one-column product to gemv, not gemm, so a lone last row
     # joins the block before it.
-    starts = range(0, len(times) - 1, _EVOLVE_BLOCK)
+    starts = range(0, len(times) - 1, _BLOCK)
     for start, stop in zip(starts, [*starts[1:], len(times)]):
-        phases = np.outer(-1j * w, times[start:stop])
-        np.exp(phases, out=phases)
-        phases *= coef[:, None]
-        populations[start:stop] = np.abs((vecs @ phases).T) ** 2
+        populations[start:stop] = np.abs(amplitudes(times[start:stop])) ** 2
     populations[0] = np.abs(psi0) ** 2
     return populations
 
@@ -212,76 +210,79 @@ def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> Simu
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
-def _zeno_steps(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(populations, odds) of n checks, one check after another: each
-    projected state is renormalized and evolved by U again."""
-    # Plain Python complex arithmetic: at dim 2 or 3 a step is a few
-    # microseconds, below the overhead of the numpy calls it replaces.
-    rows = u.tolist()
-    amps = psi.tolist()
-    populations = array("d", np.abs(psi) ** 2)
-    odds = array("d", [0.0])
-    for k in range(1, n + 1):
-        amps = [sum(map(mul, row, amps)) for row in rows]
-        top = amps.pop()
-        top_sq = top.real * top.real + top.imag * top.imag
-        kept = [a.real * a.real + a.imag * a.imag for a in amps]
-        kept_sq = sum(kept)
-        nrm = math.sqrt(kept_sq)
-        if nrm < DEGENERATE_NORM:
-            raise DegenerateProjectionError(
-                f"certain leakage at step {k}: projected norm {nrm:.3e}"
-            )
-        odds.append(top_sq / kept_sq)
-        scale = 1.0 / nrm
-        amps = [a * scale for a in amps]
-        amps.append(0j)
-        populations.extend([p / kept_sq for p in kept])
-        populations.append(0.0)
-    return np.frombuffer(populations).reshape(n + 1, len(psi)), np.frombuffer(odds)
+def _unit(z: np.ndarray, axis: int | None = None) -> None:
+    """Scale z in place by powers of two (exactly) to a largest |Re| or |Im| in [0.5, 1)."""
+    shift = -np.frexp(np.maximum(abs(z.real), abs(z.imag)).max(axis=axis))[1]
+    for part in (z.real, z.imag):
+        np.ldexp(part, shift, out=part)
 
 
-def _zeno_modes(u: np.ndarray, psi: np.ndarray, n: int, nu: np.ndarray,
-                vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(populations, odds) of n checks, every check evaluated from k = 0.
 
-    With the kept block K = U[:-1, :-1] = V diag(mu) V^-1 and c = V^-1 psi0,
-    the state before check k is A (mu^(k-1) * c), A = U[:, :-1] V: projecting
-    and renormalizing only rescale it.  nu = mu - 1 are the eigenvalues of
-    K - I, and mu^(k-1) = exp((k-1) log1p(nu)).
+    With the kept block K = U[:-1, :-1], the state before check k is
+    U[:, :-1] K^(k-1) psi0: projecting and renormalizing only rescale it, and
+    odds and populations are ratios, so each column K^(k-1) psi0 may carry a
+    scale of its own.  It is V (mu^(k-1) * c) with K = V diag(mu) V^-1 and
+    c = V^-1 psi0; when V is ill-conditioned (see EIGVEC_COND_MAX), it is the
+    product of the squares K^(2^j) over the bits of k - 1, lowest bit first.
     """
-    coef = np.linalg.solve(vecs, psi[:-1])
-    # A mode psi0 does not excite must not set the scale below.
-    live = coef != 0
-    log_mu = np.log1p(nu[live])
-    # Odds and populations are ratios, so every mu may be divided by the
-    # largest |mu|: the slowest-decaying mode keeps magnitude 1 and no check
-    # underflows, however fast the run leaks.
-    log_mu -= log_mu.real.max()
-    amps = (u[:, :-1] @ vecs[:, live]) * coef[live]
-    populations = np.empty((n + 1, len(psi)))
+    kept = u[:-1, :-1]
+    # Decompose K - I, not K: eig's eigenvectors err by about eps * norm / gap,
+    # and the eigenvalues mu of K lie close together near 1, a gap only the
+    # norm of K - I is on the scale of (at n = 4,000, K's own eigenvectors
+    # moved a population cell by 2.4e-13; those of K - I by 4.9e-14).
+    nu, vecs = np.linalg.eig(kept - np.eye(len(kept)))
+    if np.linalg.cond(vecs) <= EIGVEC_COND_MAX:
+        coef = np.linalg.solve(vecs, psi[:-1])
+        # A mode psi0 does not excite must not set the scale below.
+        live = coef != 0
+        log_mu = np.log1p(nu[live])
+        # Every mu is divided by the largest |mu|: the slowest-decaying mode
+        # keeps magnitude 1 and no check underflows, however fast the run leaks.
+        log_mu -= log_mu.real.max()
+        amps = (u[:, :-1] @ vecs[:, live]) * coef[live]
+
+        def columns(powers):
+            return np.exp(np.outer(log_mu, powers))
+    else:
+        amps = u[:, :-1]
+        squares = [kept]
+        while len(squares) < (n - 1).bit_length():
+            squares.append(squares[-1] @ squares[-1])
+            _unit(squares[-1])
+
+        def columns(powers):
+            x = np.repeat(psi[:-1, None], len(powers), axis=1)
+            for bit, square in enumerate(squares):
+                cols = np.flatnonzero(powers >> bit & 1)
+                y = sum(entry[:, None] * row for entry, row in zip(square.T, x[:, cols]))
+                _unit(y, axis=0)
+                x[:, cols] = y
+            return x
+    populations = np.zeros((n + 1, len(psi)))
     populations[0] = np.abs(psi) ** 2
-    populations[1:, -1] = 0.0
-    odds = np.empty(n + 1)
-    odds[0] = 0.0
-    for start in range(1, n + 1, _ZENO_BLOCK):
-        stop = min(start + _ZENO_BLOCK, n + 1)
-        modes = np.exp(np.outer(log_mu, np.arange(start - 1, stop - 1)))
+    odds = np.zeros(n + 1)
+    for start in range(1, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
         # Sums over modes and over levels, elementwise and in a fixed order,
         # so a check rounds alike in any block.
-        a = sum(col[:, None] * mode for col, mode in zip(amps.T, modes))
+        a = sum(col[:, None] * mode
+                for col, mode in zip(amps.T, columns(np.arange(start - 1, stop - 1))))
         sq = a.real ** 2 + a.imag ** 2
-        kept = sum(sq[:-1])
-        block = np.divide(sq[-1], kept, out=odds[start:stop])
+        kept_sq = sum(sq[:-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block = np.divide(sq[-1], kept_sq, out=odds[start:stop])
         # The check keeps 1/(1 + odds) of the probability: the squared norm
-        # of the projected state that the step loop renormalizes.
-        leaked = np.flatnonzero(block > DEGENERATE_NORM**-2)
+        # of the projected state before it is renormalized.  nan odds: every
+        # amplitude underflowed, and no check can be formed from the state.
+        leaked = np.flatnonzero(~(block <= DEGENERATE_NORM**-2))
         if leaked.size:
             nrm = (1.0 + block[leaked[0]]) ** -0.5
             raise DegenerateProjectionError(
                 f"certain leakage at step {start + leaked[0]}: projected norm {nrm:.3e}"
             )
-        np.divide(sq[:-1], kept, out=populations[start:stop, :-1].T)
+        np.divide(sq[:-1], kept_sq, out=populations[start:stop, :-1].T)
     return populations, odds
 
 
@@ -293,11 +294,9 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     renormalized state continues (and is what the trace records, so the
     trace leak population is identically zero).
 
-    Every check is evaluated directly from k = 0 through one
-    eigendecomposition of the kept block of U, _ZENO_BLOCK checks at a time,
-    so no check carries the rounding of the ones before it and the trace
-    does not depend on the block.  When that block's eigenvectors are
-    ill-conditioned (see EIGVEC_COND_MAX) the checks run one after another.
+    Every check is evaluated directly from k = 0 (see _zeno_checks), _BLOCK
+    checks at a time, so no check carries the rounding of the ones before it
+    and the trace does not depend on the block.
 
     Survival is summed in the log domain: a running product of the factors
     1 - leak would round each factor near 1 and lose the small deficit 1 - W.
@@ -308,18 +307,9 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     if abs(psi[-1]) > 1e-10:
         raise ValueError("psi0 must lie in the monitored (computational) subspace")
 
-    n = schedule.n
-    times = schedule.dt * np.arange(n + 1)
+    times = schedule.dt * np.arange(schedule.n + 1)
     u = mat_exp(hm, -1j * schedule.dt)
-    # Decompose K - I, not K: eig's eigenvectors err by about eps * norm / gap,
-    # and the eigenvalues mu of K lie close together near 1, a gap only the
-    # norm of K - I is on the scale of (at n = 4,000, K's own eigenvectors
-    # moved a population cell by 2.4e-13; those of K - I by 4.9e-14).
-    nu, vecs = np.linalg.eig(u[:-1, :-1] - np.eye(len(psi) - 1))
-    if np.linalg.cond(vecs) > EIGVEC_COND_MAX:
-        populations, odds = _zeno_steps(u, psi, n)
-    else:
-        populations, odds = _zeno_modes(u, psi, n, nu, vecs)
+    populations, odds = _zeno_checks(u, psi, schedule.n)
 
     # Each check keeps kept/(kept + top) of the probability, and
     # log1p(-leak) = -log1p(odds) with odds = top/kept stays exact for a leak

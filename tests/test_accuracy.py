@@ -11,6 +11,7 @@ import pytest
 
 from zenosim import cli, engine
 from zenosim.engine import ZenoSchedule, run_zeno
+from zenosim.linalg import mat_exp
 from zenosim.models import build_three_level
 from zenosim.report import sweep, validate_config
 
@@ -53,9 +54,9 @@ def test_zeno_deficit(n, rtol):
     assert relative_error(trace.survival[-1], ZENO_DEFICIT_40[n]) <= rtol
 
 
-# Both forms measured 8e-16, 1.0e-14 and 4.9e-14 at n = 4,000 and 1.4e-14 and
-# 4.5e-13 at n = 40,000: the rounding of U = exp(-iH dt), raised to the k-th
-# power.  The eigendecomposition of K itself, not of K - I, missed the n = 4,000
+# The eigen modes measured 8e-16, 1.0e-14 and 4.9e-14 at n = 4,000 and 1.4e-14
+# and 4.5e-13 at n = 40,000, the binary powers 6.7e-16, 8.5e-15, 4.0e-14, 1.4e-14
+# and 4.5e-13: the rounding of U = exp(-iH dt), raised to the k-th power.  The eigendecomposition of K itself, not of K - I, missed the n = 4,000
 # gate (2.4e-13 at k = 4,000).
 @pytest.mark.parametrize("n,atol", [(4000, 1e-13), (40000, 1e-12)])
 def test_zeno_populations(n, atol, zeno_path):
@@ -66,6 +67,30 @@ def test_zeno_populations(n, atol, zeno_path):
         exact = [float(p) for p in row]
         np.testing.assert_allclose(trace.populations[k, :2], exact, rtol=0, atol=atol)
         assert trace.populations[k, 2] == 0.0
+
+
+def test_zeno_near_an_exceptional_point_of_the_kept_block():
+    # The kept block K of U is nearly nilpotent here and its eigenvectors
+    # nearly merge, so every check is formed from binary powers of K.  The
+    # reference is the evolve-project loop in 60 digits on the same float64 U.
+    # Measured: 3.3e-9 relative in log W and 4.0e-8 in the populations.
+    # Against the exact H they are 3.8e-8 and 3.8e-7, mostly the rounding of U.
+    mp = pytest.importorskip("mpmath")
+    h = build_three_level(1.0, -math.pi / 2, 0.0)
+    n, dt = 8, 1.209199576
+    u = mat_exp(h, -1j * dt)
+    assert np.linalg.cond(np.linalg.eig(u[:2, :2] - np.eye(2))[1]) > engine.EIGVEC_COND_MAX
+    trace = run_zeno(h, [1, 0, 0], ZenoSchedule(n, dt))
+    with mp.workdps(60):
+        state, log_w = mp.matrix([1, 0, 0]), mp.mpf(0)
+        for k in range(1, n + 1):
+            state = mp.matrix(u.tolist()) * state
+            kept = abs(state[0]) ** 2 + abs(state[1]) ** 2
+            log_w += mp.log(kept / (kept + abs(state[2]) ** 2))
+            state = mp.matrix([state[0], state[1], 0]) / mp.sqrt(kept)
+            exact = [float(abs(state[i]) ** 2) for i in range(2)]
+            np.testing.assert_allclose(trace.populations[k, :2], exact, rtol=0, atol=3e-7)
+        assert abs(math.log(trace.survival[-1]) / float(log_w) - 1.0) <= 2e-8
 
 
 @pytest.mark.parametrize("omega,gamma", sorted(TUNNELING_DEFICIT_40))

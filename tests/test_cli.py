@@ -144,13 +144,13 @@ BYTE_CONTRACT = {
 }
 
 
-# The Zeno modes' bytes when every check runs after the one before it: the
-# form run_zeno takes when its eigendecomposition is ill-conditioned, and the
-# only form before the eigen-mode kernel, whose populations differ from these
-# by at most 6e-16 (one W cell of two_level_zeno by 1.1e-16).
-STEP_LOOP_DIGESTS = {
-    "three_level_zeno": "4b463bb7aedb25e4089f8567e46dcae14ebb4cc9dc7e94395fb72aac496267a7",
-    "two_level_zeno": "ec6b0573e016aeb45885cefb873d058cfda88ef71088052baa2444d7526b1254",
+# The Zeno modes' bytes when every kept-state column is a product of binary
+# powers of the kept block: the form run_zeno takes when its eigendecomposition
+# is ill-conditioned.  Their populations differ from the eigen modes' by at
+# most 1.6e-15 (one W cell of two_level_zeno by 1.1e-16).
+BINARY_POWERS_DIGESTS = {
+    "three_level_zeno": "38c31bfd5e7e1fc79f05ebf335b9f505a676fadf2ee628049b3dc3b74aecf179",
+    "two_level_zeno": "510078918e54e6dfd026a4a426ee0b8c2018b074781b5361f2c66987ed9dbc2b",
 }
 
 
@@ -173,10 +173,10 @@ def test_output_bytes_are_pinned(mode, tmp_path, capsys):
     assert output_digest(mode, tmp_path, capsys) == BYTE_CONTRACT[mode][2]
 
 
-@pytest.mark.parametrize("mode", sorted(STEP_LOOP_DIGESTS))
-def test_step_loop_bytes_are_pinned(mode, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mode", sorted(BINARY_POWERS_DIGESTS))
+def test_binary_powers_bytes_are_pinned(mode, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
-    assert output_digest(mode, tmp_path, capsys) == STEP_LOOP_DIGESTS[mode]
+    assert output_digest(mode, tmp_path, capsys) == BINARY_POWERS_DIGESTS[mode]
 
 
 def run_cli(args, cwd, **kwargs):

@@ -73,6 +73,10 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             two_level_survival_closed_form(1.0, 1.0, 0)
 
+    def test_rejects_a_non_finite_coupling(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            two_level_survival_closed_form(math.nan, 1.0, 1)
+
 
 class TestZenoLimit:
     def test_closed_form_approaches_limit(self):
@@ -113,6 +117,10 @@ class TestRunUnitary:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             run_unitary(build_tunneling(OMEGA, ETA, 40.0), ground_state(3), 1.0, samples=3)
+
+    def test_rejects_a_time_of_zero(self):
+        with pytest.raises(ValueError, match="t_total must be positive"):
+            run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), 0.0)
 
     def test_norm_preserved_at_every_sample(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
@@ -233,7 +241,7 @@ class TestRunZeno:
         np.testing.assert_allclose(trace.survival[k], math.cos(0.5) ** (2 * k), rtol=1e-10)
         assert not np.isnan(trace.survival).any()
 
-    def test_near_an_exceptional_point_the_checks_run_in_steps(self, monkeypatch):
+    def test_near_an_exceptional_point_the_checks_take_binary_powers(self, monkeypatch):
         # The kept block's two eigenvectors nearly merge here: cond(V) = 8e4.
         h = build_three_level(1.0, PHI_Y, 0.0)
         schedule = ZenoSchedule(8, 1.209199576)
@@ -241,9 +249,25 @@ class TestRunZeno:
         assert np.linalg.cond(np.linalg.eig(kept - np.eye(2))[1]) > engine.EIGVEC_COND_MAX
         trace = run_zeno(h, ground_state(3), schedule)
         monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
-        steps = run_zeno(h, ground_state(3), schedule)
-        assert np.array_equal(trace.populations, steps.populations)
-        assert np.array_equal(trace.survival, steps.survival)
+        powers = run_zeno(h, ground_state(3), schedule)
+        assert np.array_equal(trace.populations, powers.populations)
+        assert np.array_equal(trace.survival, powers.survival)
+
+    def test_a_state_the_powers_cannot_hold_raises(self):
+        # Level 0 is decoupled and keeps all of its weight; the near-exceptional
+        # block of the test above keeps about 2e-10 per check.  The squares of K
+        # hold the two only to the float range, so past 2^7 checks the state's
+        # column underflows to zero: W has been 0 since check 34, and the run
+        # raises instead of returning NaN.
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 0] = 0.3
+        h[1:, 1:] = build_three_level(1.0, PHI_Y, 0.0)
+        dt = 1.209199576
+        trace = run_zeno(h, [0, 1, 0, 0], ZenoSchedule(128, dt))
+        assert trace.survival[34] == 0.0 and not np.isnan(trace.populations).any()
+        with pytest.raises(DegenerateProjectionError,
+                           match=r"^certain leakage at step 129: projected norm nan$"):
+            run_zeno(h, [0, 1, 0, 0], ZenoSchedule(200, dt))
 
     def test_rejects_leaked_initial_state(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
@@ -356,7 +380,7 @@ class TestScheduleAndRecords:
     def test_schedule_total_time(self):
         assert ZenoSchedule(50, 0.1).t_total == pytest.approx(5.0)
 
-    @pytest.mark.parametrize("n,dt", [(0, 0.1), (-3, 0.1), (5, 0.0), (5, -1.0)])
+    @pytest.mark.parametrize("n,dt", [(0, 0.1), (-3, 0.1), (2.5, 0.1), (5, 0.0), (5, -1.0)])
     def test_schedule_validation(self, n, dt):
         with pytest.raises(ValueError):
             ZenoSchedule(n, dt)
@@ -454,6 +478,7 @@ BAD_INPUTS = {
     "non_square_h": (np.zeros((3, 2)), ground_state(3), "square"),
     "psi0_of_the_wrong_length": (build_three_level(OMEGA, PHI_Y, ETA), ground_state(2),
                                  "dimension mismatch"),
+    "psi0_of_two_dims": (build_three_level(OMEGA, PHI_Y, ETA), [ground_state(3)], "1-d vector"),
     "psi0_of_norm_one_half": (build_three_level(OMEGA, PHI_Y, ETA), 0.5 * ground_state(3),
                               "normalized"),
     "dim_1": (np.zeros((1, 1)), ground_state(1), r"dim >= 2"),
@@ -469,34 +494,42 @@ def test_every_runner_checks_its_inputs_alike(runner, bad):
         RUNNERS[runner](h, psi0)
 
 
+def _zeno_run():
+    # 12,290 rows: whole blocks of every size below and a partial one.
+    return run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
+                    ZenoSchedule(12_289, 5.0 / 12_289))
+
+
 SAMPLE_BLOCK_RUNS = {
-    # 10,001 rows: two whole blocks of 4,096 and a partial one.
+    # 10,001 rows: nine whole blocks of 1,024 and a partial one.
     "unitary": lambda: run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), 5.0,
                                    samples=10_001),
-    # 12,289 rows = 3 * 4,096 + 1: several blocks and a lone last row.
+    # 12,289 rows = 12 * 1,024 + 1: several blocks and a lone last row.
     "tunneling": lambda: run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(3), 5.0,
                                        steps=12_288),
     "exceptional_point": lambda: run_tunneling(
         build_tunneling(EXCEPTIONAL_POINT["omega"], EXCEPTIONAL_POINT["eta"],
                         EXCEPTIONAL_POINT["gamma"]),
         ground_state(3), EXCEPTIONAL_POINT["t_total"], steps=50),
-    # 12,290 rows: whole blocks of every size below and a partial one.
-    "zeno": lambda: run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
-                             ZenoSchedule(12_289, 5.0 / 12_289)),
+    "zeno": _zeno_run,
+    # The same checks, each kept-state column a product of binary powers.
+    "zeno_powers": _zeno_run,
 }
 
 
 @pytest.mark.parametrize("run", sorted(SAMPLE_BLOCK_RUNS))
 def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
     def set_block(rows):
-        monkeypatch.setattr(engine, "_EVOLVE_BLOCK", rows)
-        monkeypatch.setattr(engine, "_ZENO_BLOCK", rows)
+        monkeypatch.setattr(engine, "_BLOCK", rows)
+
+    if run == "zeno_powers":
+        monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
 
     set_block(10**9)
     whole = SAMPLE_BLOCK_RUNS[run]()
     # A block that is a multiple of the gemm kernel's column unroll sends
     # every column through the kernel it meets in one product over all rows.
-    for block in (64, 4096):
+    for block in (64, 1024, 4096):
         set_block(block)
         trace = SAMPLE_BLOCK_RUNS[run]()
         assert np.array_equal(trace.populations, whole.populations)
@@ -504,7 +537,7 @@ def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
     # Blocks of 1 and 7 rows meet other kernels, whose 3-term sums round
     # differently: within a few ulps of the largest term, which is at most 1.
     # A Zeno row is an elementwise sum in a fixed order and meets no kernel.
-    atol = 0.0 if run == "zeno" else 8 * np.finfo(float).eps
+    atol = 0.0 if run.startswith("zeno") else 8 * np.finfo(float).eps
     for block in (1, 7):
         set_block(block)
         trace = SAMPLE_BLOCK_RUNS[run]()

@@ -68,6 +68,10 @@ class TestEntanglingTime:
         with pytest.raises(ValueError):
             entangling_time(0.02, 0.02)
 
+    def test_rejects_a_non_finite_coupling(self):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            entangling_time(math.nan, 0.0)
+
     @pytest.mark.parametrize("g,g_tilde", [(1e-320, 0.0), (1e308, -1e308)])
     def test_rejects_a_time_past_the_float_range(self, g, g_tilde, capsys):
         # pi / (2|g - g_tilde|) is inf for the first pair and 0 for the second

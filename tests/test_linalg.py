@@ -81,6 +81,10 @@ class TestMatExp:
         with pytest.raises(ValueError):
             mat_exp(np.zeros((2, 3)), 1.0)
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            mat_exp(np.zeros((0, 0)))
+
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_phase_past_the_float_range(self):
         assert np.all(np.isfinite(mat_exp(np.diag([1e15, 0.0]), -1j)))

@@ -194,6 +194,12 @@ class TestGhzHamiltonian:
         with pytest.raises(ValueError):
             build_ghz_hamiltonian(np.zeros((2, 3)), 0.0, 0.0)
 
+    def test_rejects_non_finite_drives(self):
+        drives = np.zeros((3, 3))
+        drives[1, 2] = np.nan
+        with pytest.raises(ValueError, match="omega_vecs has non-finite entries"):
+            build_ghz_hamiltonian(drives, 0.02, 0.005)
+
 
 @pytest.mark.parametrize(
     "builder",

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -135,6 +136,32 @@ class TestConfigValidation:
     def test_rejects_bool_as_number(self):
         with pytest.raises(ConfigError):
             validate_config({"mode": "no_zeno", "omega": True, "t_total": 5.0})
+
+    # Each raw config, or a value that is none, and the start of its error.
+    BAD_VALUES = {
+        "bool_n": ({"mode": "three_level_zeno", "omega": 0.05, "n": True, "dt": 0.1},
+                   "key 'n' must be an integer, got True"),
+        "integer_axis": ({"mode": "sweep", "axis": 3, "axis_values": [1, 2], "omega": 0.05,
+                          "t_total": 5.0}, "key 'axis' must be a string, got 3"),
+        "empty_axis_values": ({"mode": "sweep", "axis": "n", "axis_values": [], "omega": 0.05,
+                               "t_total": 5.0}, "key 'axis_values' must be a non-empty list"),
+        "negative_dt_grid": ({"mode": "sweep", "axis": "dt", "axis_values": [-0.2, -0.1],
+                              "omega": 0.05, "n": 50}, "dt grid values must be positive"),
+        "one_sample": ({"mode": "no_zeno", "omega": 0.05, "t_total": 5.0, "samples": 1},
+                       "samples must be >= 2"),
+        "list": ([], "config must be a flat JSON object"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_rejects_a_bad_value(self, case):
+        raw, message = self.BAD_VALUES[case]
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            validate_config(raw)
+
+    def test_an_integral_float_n_is_an_integer(self):
+        cfg = validate_config({"mode": "three_level_zeno", "omega": 0.05, "n": 5.0, "dt": 0.1})
+        assert type(cfg.n) is int and cfg.n == 5
+        assert cfg.schedule == ZenoSchedule(5, 0.1)
 
     def test_rejects_non_integer_n(self):
         with pytest.raises(ConfigError):
@@ -328,6 +355,10 @@ class TestConfigValidation:
         assert cfg.mode == "ghz"
         assert cfg.model.g_tilde == 0.005
 
+    def test_load_config_rejects_a_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="^cannot read config"):
+            load_config(str(tmp_path / "missing.json"))
+
     def test_load_config_rejects_non_object(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]", encoding="utf-8")
@@ -399,6 +430,11 @@ class TestFindNCrit:
 
 
 class TestSweep:
+    def test_rejects_a_config_of_another_mode(self):
+        cfg = validate_config({"mode": "no_zeno", "omega": 0.05, "t_total": 5.0})
+        with pytest.raises(ConfigError, match="sweep-mode config, got 'no_zeno'"):
+            sweep(cfg)
+
     def test_single_point_matches_direct_call(self):
         cfg = validate_config(
             {"mode": "sweep", "axis": "n", "axis_values": [50],
