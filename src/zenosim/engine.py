@@ -18,14 +18,14 @@ any dimension >= 2; the leak (monitored) level is always the last one.
 
 run_unitary and run_tunneling share one kernel, _evolve: the populations
 of exp(-iHt)|psi0>, each sample evaluated directly from t = 0 through one
-eigendecomposition of H (near an exceptional point, one matrix exponential
-per sample) and a fixed block of samples at a time, so neither a sample nor
-a block carries the rounding of the ones before it, and the value at T does
-not depend on how many samples precede it.  run_zeno follows the same rule
-with the kept block K of exp(-iH dt): check k is evaluated from k = 0 as
-K^(k-1), through one eigendecomposition of K (near an exceptional point of
-K, as a product of its binary powers), and its survival factor is still a
-ratio summed in the log domain.
+eigendecomposition of H and a fixed block of samples at a time, so neither a
+sample nor a block carries the rounding of the ones before it, and the value
+at T does not depend on how many samples precede it.  run_zeno follows the
+same rule with the kept block K of exp(-iH dt): check k is evaluated from
+k = 0 as K^(k-1), through one eigendecomposition of K, and its survival
+factor is still a ratio summed in the log domain.  Where an eigenbasis is
+ill-conditioned, both take one fallback from k = 0, the binary powers of the
+step in _binary_products; there the value at T moves with the step by ulps.
 
 Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
@@ -67,12 +67,11 @@ DEGENERATE_NORM = 1e-14
 # Rows of an unmeasured trace when no sample count is given.
 DEFAULT_SAMPLES = 101
 
-# Largest condition number of the eigenvector matrix V of a non-Hermitian H
-# for which _evolve uses V exp(-i Lambda t) V^-1.  The error of that form in
-# W grows as about 1e-16 * cond(V); near an exceptional point, where two
-# eigenvectors merge, cond(V) diverges (1.5e8 at omega = 0.05,
-# eta = -0.0295, gamma = 0.220), and each sample is formed as
-# mat_exp(H, -it) @ psi0 instead.
+# Largest condition number of the eigenvectors V of a non-Hermitian H (or of
+# run_zeno's kept block) for which V f(Lambda) V^-1 is used: its error in W
+# grows as about 1e-16 * cond(V).  Near an exceptional point cond(V) diverges
+# (1.5e8 at omega = 0.05, eta = -0.0295, gamma = 0.220), and both kernels take
+# _binary_products instead, at ~1.3-2 us a row; -1 forces that fallback.
 EIGVEC_COND_MAX = 1e4
 
 # Rows _evolve, and checks run_zeno, form per pass: about 0.28 MB of Zeno
@@ -160,36 +159,42 @@ def _check_run(h, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray]:
     return hm, psi
 
 
-def _evolve(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Populations |exp(-iHt)|psi0>|^2 at each t of times (times[0] = 0).
+def _evolve(h, psi0, t_total: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times, populations |exp(-iHt)|psi0>|^2) at rows even times from 0 to T.
 
-    Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition
-    (eigh for Hermitian H, else eig), _BLOCK rows at a time from t = 0;
-    an ill-conditioned V (see EIGVEC_COND_MAX) takes one mat_exp per row.
+    Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition (eigh for
+    Hermitian H, else eig), _BLOCK rows at a time from t = 0.  If V is ill-conditioned
+    (EIGVEC_COND_MAX), row k is the product of exp(-iH dt 2^b) over the bits b of k.
     Row 0 is |psi0|^2 itself: the eigenbasis round trip would move it an ulp.
     """
+    times = np.linspace(0.0, t_total, rows)
     hermitian = is_hermitian(h)
     w, vecs = np.linalg.eigh(h) if hermitian else np.linalg.eig(h)
-    _check_exponent(w, float(times[-1]))
+    _check_exponent(w, t_total)
     if not hermitian and np.linalg.cond(vecs) > EIGVEC_COND_MAX:
-        def amplitudes(block):
-            return np.array([mat_exp(h, -1j * t) @ psi0 for t in block])
+        # Squaring exp(-iH dt) up to these would compound its rounding.
+        dt = t_total / (rows - 1)
+        factors = [mat_exp(h, -1j * dt * 2.0**b) for b in range((rows - 1).bit_length())]
+
+        def block_populations(start, stop):
+            x, exponent = _binary_products(factors, psi0, np.arange(start, stop))
+            return np.ldexp(np.abs(x.T) ** 2, 2 * exponent[:, None])
     else:
         coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
 
-        def amplitudes(block):
-            phases = np.outer(-1j * w, block)
+        def block_populations(start, stop):
+            phases = np.outer(-1j * w, times[start:stop])
             np.exp(phases, out=phases)
             phases *= coef[:, None]
-            return (vecs @ phases).T
-    populations = np.empty((len(times), len(psi0)))
+            return np.abs((vecs @ phases).T) ** 2
+    populations = np.empty((rows, len(psi0)))
     # numpy sends a one-column product to gemv, not gemm, so a lone last row
     # joins the block before it.
-    starts = range(0, len(times) - 1, _BLOCK)
-    for start, stop in zip(starts, [*starts[1:], len(times)]):
-        populations[start:stop] = np.abs(amplitudes(times[start:stop])) ** 2
+    starts = range(0, rows - 1, _BLOCK)
+    for start, stop in zip(starts, [*starts[1:], rows]):
+        populations[start:stop] = block_populations(start, stop)
     populations[0] = np.abs(psi0) ** 2
-    return populations
+    return times, populations
 
 
 def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
@@ -204,17 +209,31 @@ def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> Simu
         raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
     samples = _check_count("samples", samples, minimum=2)
 
-    times = np.linspace(0.0, t_total, samples)
-    populations = _evolve(hm, psi, times)
+    times, populations = _evolve(hm, psi, t_total, samples)
     survival = 1.0 - populations[:, -1]
     return SimulationTrace(times=times, populations=populations, survival=survival)
 
 
-def _unit(z: np.ndarray, axis: int | None = None) -> None:
-    """Scale z in place by powers of two (exactly) to a largest |Re| or |Im| in [0.5, 1)."""
+def _unit(z: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Scale z in place by the powers of two (returned) to a largest |Re| or |Im| in [0.5, 1)."""
     shift = -np.frexp(np.maximum(abs(z.real), abs(z.imag)).max(axis=axis))[1]
     for part in (z.real, z.imag):
         np.ldexp(part, shift, out=part)
+    return shift
+
+
+def _binary_products(factors: list, x0, powers) -> tuple[np.ndarray, np.ndarray]:
+    """(x, e): column j of x, times 2^e[j], is x0 after factors[b] for each set bit b
+    of powers[j], lowest first: each an elementwise sum in a fixed order, then
+    _unit, so that a column depends only on its own power."""
+    x = np.repeat(x0[:, None], len(powers), axis=1)
+    exponent = np.zeros(len(powers), dtype=int)
+    for bit, factor in enumerate(factors):
+        cols = np.flatnonzero(powers >> bit & 1)
+        y = sum(entry[:, None] * row for entry, row in zip(factor.T, x[:, cols]))
+        exponent[cols] -= _unit(y, axis=0)
+        x[:, cols] = y
+    return x, exponent
 
 
 def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +244,7 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np
     odds and populations are ratios, so each column K^(k-1) psi0 may carry a
     scale of its own.  It is V (mu^(k-1) * c) with K = V diag(mu) V^-1 and
     c = V^-1 psi0; when V is ill-conditioned (see EIGVEC_COND_MAX), it is the
-    product of the squares K^(2^j) over the bits of k - 1, lowest bit first.
+    product of the squares K^(2^j) over the bits of k - 1 (_binary_products).
     """
     kept = u[:-1, :-1]
     # Decompose K - I, not K: eig's eigenvectors err by about eps * norm / gap,
@@ -253,13 +272,7 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np
             _unit(squares[-1])
 
         def columns(powers):
-            x = np.repeat(psi[:-1, None], len(powers), axis=1)
-            for bit, square in enumerate(squares):
-                cols = np.flatnonzero(powers >> bit & 1)
-                y = sum(entry[:, None] * row for entry, row in zip(square.T, x[:, cols]))
-                _unit(y, axis=0)
-                x[:, cols] = y
-            return x
+            return _binary_products(squares, psi[:-1], powers)[0]
     populations = np.zeros((n + 1, len(psi)))
     populations[0] = np.abs(psi) ** 2
     odds = np.zeros(n + 1)
@@ -328,8 +341,8 @@ def default_tunneling_steps(gamma: float, t_total: float) -> int:
     """Sample count of a tunneling trace: one sample per 0.01/gamma, at
     least 1000.
 
-    Every sample is exact at its own time, so the count sets only the
-    sampling density of the trace; the value at T is the same for any count.
+    Every sample is formed at its own time, so the count sets only the trace's
+    density; the value at T is the same for any count (to ulps past EIGVEC_COND_MAX).
     """
     steps = 1000
     if gamma > 0:
@@ -357,8 +370,7 @@ def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None) -> Simul
         steps = default_tunneling_steps(2.0 * float(decay_rates[-1]), t_total)
     steps = _check_count("steps", steps)
 
-    times = np.linspace(0.0, t_total, steps + 1)
-    populations = _evolve(hm, psi, times)
+    times, populations = _evolve(hm, psi, t_total, steps + 1)
     survival = populations[:, :-1].sum(axis=1)
     return SimulationTrace(times=times, populations=populations, survival=survival)
 

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from zenosim import cli, engine
-from zenosim.engine import ZenoSchedule, run_zeno
+from zenosim.engine import ZenoSchedule, run_tunneling, run_zeno
 from zenosim.linalg import mat_exp
-from zenosim.models import build_three_level
+from zenosim.models import build_three_level, build_tunneling
 from zenosim.report import sweep, validate_config
 
 from oracles import (
@@ -107,8 +107,13 @@ def test_tunneling_mode_deficit(omega, gamma, capsys):
     assert w == sweep_w_tunnel(omega, gamma)
 
 
-def test_exceptional_point_takes_the_mat_exp_rows(capsys, monkeypatch):
-    # cond(V) is 1.5e8 here; V exp(-i Lambda t) V^-1 misses the deficit by 4.7e-6
+@pytest.mark.parametrize("steps", [1000, 200_000])
+def test_exceptional_point_takes_binary_products(steps, monkeypatch):
+    # cond(V) is 1.5e8 here; V exp(-i Lambda t) V^-1 misses the deficit by 4.7e-6.
+    # Row k is a product of factors exp(-iH dt 2^b) over the bits of k: 10 for
+    # 1,001 rows and 18 for 200,001, not one mat_exp per row.  Each is formed
+    # directly: measured 4.9e-14 and 2.2e-13.  Squaring them up from
+    # exp(-iH dt) instead compounds its rounding to 7.4e-9 at 200,001 rows.
     calls = []
     mat_exp = engine.mat_exp
 
@@ -118,6 +123,7 @@ def test_exceptional_point_takes_the_mat_exp_rows(capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "mat_exp", counting)
     p = EXCEPTIONAL_POINT
-    w = tunneling_summary(capsys, p["omega"], p["gamma"], p["eta"], p["t_total"])
-    assert len(calls) == 1001
-    assert relative_error(w, EXCEPTIONAL_POINT_DEFICIT_40) <= 1e-9
+    h = build_tunneling(p["omega"], p["eta"], p["gamma"])
+    trace = run_tunneling(h, [1, 0, 0], p["t_total"], steps=steps)
+    assert len(calls) == steps.bit_length()
+    assert relative_error(trace.survival[-1], EXCEPTIONAL_POINT_DEFICIT_40) <= 1e-9

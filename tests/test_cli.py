@@ -146,8 +146,9 @@ BYTE_CONTRACT = {
 
 # The Zeno modes' bytes when every kept-state column is a product of binary
 # powers of the kept block: the form run_zeno takes when its eigendecomposition
-# is ill-conditioned.  Their populations differ from the eigen modes' by at
-# most 1.6e-15 (one W cell of two_level_zeno by 1.1e-16).
+# is ill-conditioned.  EIGVEC_COND_MAX = -1 forces that fallback on both engine
+# kernels; these modes run only run_zeno.  Their populations differ from the
+# eigen modes' by at most 1.6e-15 (one W cell of two_level_zeno by 1.1e-16).
 BINARY_POWERS_DIGESTS = {
     "three_level_zeno": "38c31bfd5e7e1fc79f05ebf335b9f505a676fadf2ee628049b3dc3b74aecf179",
     "two_level_zeno": "510078918e54e6dfd026a4a426ee0b8c2018b074781b5361f2c66987ed9dbc2b",

@@ -315,6 +315,38 @@ class TestRunTunneling:
             deriv = (np.linalg.norm(plus) ** 2 - np.linalg.norm(minus) ** 2) / (2 * step)
             assert abs(deriv + gamma * abs(psi[2]) ** 2) <= 1e-6
 
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_exceptional_point_reaches_t_in_few_steps(self, steps):
+        # A sweep's end value takes steps = 1.  The last row is the product of
+        # steps.bit_length() factors exp(-iH dt 2^b); one factor too few
+        # leaves it at |psi0|^2, 0.06 off at steps = 1.
+        p = EXCEPTIONAL_POINT
+        h = build_tunneling(p["omega"], p["eta"], p["gamma"])
+        trace = run_tunneling(h, ground_state(3), p["t_total"], steps=steps)
+        exact = np.abs(mat_exp(h, -1j * p["t_total"]) @ ground_state(3)) ** 2
+        np.testing.assert_allclose(trace.populations[-1], exact, rtol=0, atol=1e-15)
+
+    def test_forced_binary_products_match_the_eigen_rows(self, monkeypatch):
+        # EIGVEC_COND_MAX = -1 sends a well-conditioned H through the fallback:
+        # 20,001 rows at gamma = 40, measured within 2.6e-14 of the eigen rows.
+        h = build_tunneling(OMEGA, ETA, 40.0)
+        eigen = run_tunneling(h, ground_state(3), 5.0)
+        monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
+        forced = run_tunneling(h, ground_state(3), 5.0)
+        assert len(forced.times) == 20_001
+        np.testing.assert_allclose(forced.populations, eigen.populations, rtol=0, atol=1e-13)
+
+    def test_forced_binary_products_restore_the_scale_of_a_leaked_state(self, monkeypatch):
+        # W falls to 4.9e-11: the products rescale each column by powers of
+        # two on the way, and the rows must carry the true scale.  Measured:
+        # 1.2e-13 relative in every cell.
+        h = build_tunneling(0.5, ETA, 2.0)
+        eigen = run_tunneling(h, ground_state(3), 60.0, steps=1000)
+        monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
+        forced = run_tunneling(h, ground_state(3), 60.0, steps=1000)
+        assert forced.survival[-1] < 1e-10
+        np.testing.assert_allclose(forced.populations, eigen.populations, rtol=1e-12, atol=0)
+
     def test_rejects_gain(self):
         h = build_three_level(OMEGA, PHI_Y, ETA).copy()
         h[2, 2] = ETA + 20j
@@ -511,6 +543,9 @@ SAMPLE_BLOCK_RUNS = {
         build_tunneling(EXCEPTIONAL_POINT["omega"], EXCEPTIONAL_POINT["eta"],
                         EXCEPTIONAL_POINT["gamma"]),
         ground_state(3), EXCEPTIONAL_POINT["t_total"], steps=50),
+    # 6,145 rows = 6 * 1,024 + 1, each a product of binary powers of the step.
+    "tunneling_powers": lambda: run_tunneling(build_tunneling(OMEGA, ETA, 40.0),
+                                              ground_state(3), 5.0, steps=6_144),
     "zeno": _zeno_run,
     # The same checks, each kept-state column a product of binary powers.
     "zeno_powers": _zeno_run,
@@ -522,7 +557,7 @@ def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
     def set_block(rows):
         monkeypatch.setattr(engine, "_BLOCK", rows)
 
-    if run == "zeno_powers":
+    if run.endswith("_powers"):
         monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
 
     set_block(10**9)
@@ -536,8 +571,10 @@ def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
         assert np.array_equal(trace.survival, whole.survival)
     # Blocks of 1 and 7 rows meet other kernels, whose 3-term sums round
     # differently: within a few ulps of the largest term, which is at most 1.
-    # A Zeno row is an elementwise sum in a fixed order and meets no kernel.
-    atol = 0.0 if run.startswith("zeno") else 8 * np.finfo(float).eps
+    # A Zeno row, and a row of binary powers (exceptional_point, *_powers), is
+    # an elementwise sum in a fixed order and meets no kernel.
+    exact = run.startswith("zeno") or run in ("exceptional_point", "tunneling_powers")
+    atol = 0.0 if exact else 8 * np.finfo(float).eps
     for block in (1, 7):
         set_block(block)
         trace = SAMPLE_BLOCK_RUNS[run]()
