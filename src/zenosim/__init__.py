@@ -4,61 +4,47 @@ Simulates a resonantly driven three-level qubit whose leak level is either
 measured projectively (repeated ideal checks), monitored continuously (a
 decaying level), or left alone, plus the single-step three-qubit GHZ
 preparation on coupled ideal qubits.  All rates in rad/ns, hbar = 1.
+
+The package imports lazily (PEP 562): `import zenosim` loads no numpy, and
+each exported name imports its module on first access.
 """
 
-from .engine import (
-    DegenerateProjectionError,
-    PhysicsError,
-    SimulationTrace,
-    ZenoSchedule,
-    perturbative_step,
-    run_tunneling,
-    run_unitary,
-    run_zeno,
-    two_level_survival_closed_form,
-)
-from .ghz import (
-    GhzDiagnostics,
-    entangling_time,
-    ghz_fidelity,
-    rotation_pulse,
-    run_ghz_protocol,
-)
-from .linalg import apply, is_hermitian, kron, mat_exp
-from .models import (
-    ModelSpec,
-    build_ghz_hamiltonian,
-    build_three_level,
-    build_tunneling,
-    build_two_level,
-)
-from .report import (
-    ConfigError,
-    ScenarioConfig,
-    SweepResult,
-    emit_sweep_csv,
-    emit_trace_csv,
-    find_n_crit,
-    load_config,
-    run_scenario,
-    sweep,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "mat_exp", "apply", "kron", "is_hermitian",
-    "ModelSpec", "build_two_level", "build_three_level", "build_tunneling",
-    "build_ghz_hamiltonian",
-    "ZenoSchedule", "SimulationTrace",
-    "PhysicsError", "DegenerateProjectionError",
-    "two_level_survival_closed_form",
-    "run_unitary", "run_zeno", "run_tunneling",
-    "perturbative_step",
-    "GhzDiagnostics", "rotation_pulse", "entangling_time",
-    "run_ghz_protocol", "ghz_fidelity",
-    "ConfigError", "ScenarioConfig", "SweepResult",
-    "load_config", "find_n_crit", "sweep",
-    "emit_trace_csv", "emit_sweep_csv", "run_scenario",
-]
+_EXPORTS = {
+    "linalg": ("mat_exp", "apply", "kron", "is_hermitian"),
+    "models": ("ModelSpec", "build_two_level", "build_three_level", "build_tunneling",
+               "build_ghz_hamiltonian"),
+    "engine": ("ZenoSchedule", "SimulationTrace", "PhysicsError", "DegenerateProjectionError",
+               "two_level_survival_closed_form", "run_unitary", "run_zeno", "run_tunneling",
+               "perturbative_step"),
+    "ghz": ("GhzDiagnostics", "rotation_pulse", "entangling_time", "run_ghz_protocol",
+            "ghz_fidelity"),
+    "report": ("ConfigError", "ScenarioConfig", "SweepResult", "load_config", "find_n_crit",
+               "sweep", "emit_trace_csv", "emit_sweep_csv", "run_scenario"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+def _script():
+    """The `zenosim` console script: runs `zenosim.cli` as `__main__`, as
+    `python -m zenosim.cli` does, so both take the CLI's GC policy."""
+    import runpy
+
+    runpy.run_module("zenosim.cli", run_name="__main__", alter_sys=True)

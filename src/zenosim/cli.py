@@ -9,7 +9,14 @@ runtime/physics error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+
+if __name__ == "__main__":
+    # A one-shot process never frees what its imports build, so the cyclic
+    # collector only walks that heap: keep it off while numpy imports, and
+    # freeze the heap before main so the exit-time collection skips it too.
+    gc.disable()
 
 from .report import MODES, run_scenario
 
@@ -50,4 +57,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()  # cycles the run itself makes are still collected
     sys.exit(main())

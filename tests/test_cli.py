@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -180,13 +181,18 @@ def test_binary_powers_bytes_are_pinned(mode, tmp_path, capsys, monkeypatch):
     assert output_digest(mode, tmp_path, capsys) == BINARY_POWERS_DIGESTS[mode]
 
 
-def run_cli(args, cwd, **kwargs):
-    """Run `python -m zenosim.cli ARGS` in a child with this package on its path."""
+def run_python(argv, cwd, **kwargs):
+    """Run `python ARGV` in a child with this package on its path."""
     src = os.path.dirname(os.path.dirname(zenosim.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "zenosim.cli", *args], cwd=cwd, timeout=60,
+        [sys.executable, *argv], cwd=cwd, timeout=60,
         env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"), **kwargs,
     )
+
+
+def run_cli(args, cwd, **kwargs):
+    """Run `python -m zenosim.cli ARGS` in a child with this package on its path."""
+    return run_python(["-m", "zenosim.cli", *args], cwd, **kwargs)
 
 
 def test_failed_write_leaves_the_earlier_file(tmp_path):
@@ -284,3 +290,86 @@ def test_module_entry_point(tmp_path):
                      capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("mode=ghz")
+
+
+def script_entry():
+    """The `zenosim` console script's target, as pyproject.toml names it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(pyproject, "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["zenosim"]
+
+
+def test_console_script_matches_the_module_entry_point(tmp_path):
+    module, attr = script_entry().split(":")
+    flags = ["no-zeno", "--omega", "0.05", "--t-total", "5", "--out", "out.csv"]
+    by_module = run_cli(flags, tmp_path, capture_output=True)
+    csv = (tmp_path / "out.csv").read_bytes()
+    (tmp_path / "out.csv").unlink()
+    # what an installed console script runs
+    by_script = run_python(["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())",
+                            *flags], tmp_path, capture_output=True)
+    assert (by_module.returncode, by_module.stderr) == (0, b"")
+    assert (by_script.returncode, by_script.stdout, by_script.stderr) \
+        == (by_module.returncode, by_module.stdout, by_module.stderr)
+    assert (tmp_path / "out.csv").read_bytes() == csv
+
+
+# Runs the CLI as a process does, and notes the GC calls, every collection that
+# starts, the first parse_args call (inside main) and the state at exit.
+GC_PROBE = """
+import argparse, atexit, gc, json, runpy, sys
+
+events, log = [], sys.argv.pop(1)
+def note(event):
+    events.append(dict(event=event, enabled=gc.isenabled(), frozen=gc.get_freeze_count(),
+                       numpy="numpy" in sys.modules))
+
+def noting(name, fn):
+    def wrapped(*args, **kwargs):
+        note(name)
+        return fn(*args, **kwargs)
+    return wrapped
+
+for name in ("disable", "freeze", "enable"):
+    setattr(gc, name, noting(name, getattr(gc, name)))
+argparse.ArgumentParser.parse_args = noting("main", argparse.ArgumentParser.parse_args)
+gc.callbacks.append(lambda phase, info: phase == "start" and note("collect"))
+
+@atexit.register
+def write_log():
+    note("exit")
+    with open(log, "w") as fh:
+        json.dump(events, fh)
+
+ENTRY
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_cli_process_freezes_its_import_heap(entry, tmp_path):
+    if entry == "module":
+        run = "runpy.run_module('zenosim.cli', run_name='__main__', alter_sys=True)"
+    else:
+        module, attr = script_entry().split(":")
+        run = f"from {module} import {attr}; {attr}()"
+    probe = GC_PROBE.replace("ENTRY", run)
+    result = run_python(["-c", probe, str(tmp_path / "gc.json"), "ghz", "--g", "0.02",
+                         "--g-tilde", "0.005"], tmp_path, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("mode=ghz")
+    events = json.loads((tmp_path / "gc.json").read_text())
+    names = [event["event"] for event in events]
+    first = {name: names.index(name) for name in ("disable", "freeze", "enable", "main", "exit")}
+    assert list(first) == sorted(first, key=first.get)
+    at = {name: events[index] for name, index in first.items()}
+    assert not at["disable"]["numpy"] and at["freeze"]["numpy"]  # numpy imports in between
+    assert "collect" not in names[first["disable"]:first["freeze"]]
+    assert at["main"]["enabled"]  # the run's own cycles are collected
+    assert at["exit"]["frozen"] > 10_000  # the exit collection skips the import heap
+
+
+def test_in_process_main_leaves_the_gc_alone(capsys):
+    state = gc.isenabled(), gc.get_freeze_count()
+    assert main(["ghz", "--g", "0.02", "--g-tilde", "0.005"]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state

@@ -2,6 +2,9 @@ import importlib
 
 import pytest
 
+import zenosim
+from test_cli import run_python
+
 # zenosim.cli defines no __all__: its interface is the command line.
 MODULES = ["zenosim", "zenosim.engine", "zenosim.ghz", "zenosim.linalg", "zenosim.models",
            "zenosim.report"]
@@ -20,3 +23,39 @@ def test_star_import():
     namespace = {}
     exec("from zenosim import *", namespace)
     assert "run_scenario" in namespace
+
+
+def python_child(code, cwd):
+    """Run `python -c CODE` in a fresh interpreter; return its stdout."""
+    result = run_python(["-c", code], cwd, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_package_import_loads_no_numpy(tmp_path):
+    loaded = python_child(
+        "import sys, zenosim\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'zenosim')))",
+        tmp_path)
+    assert loaded.strip() == "['zenosim']"
+
+
+def test_from_import_still_loads_a_submodule(tmp_path):
+    code = "from zenosim import cli\nprint(cli.__name__, cli.main.__name__)"
+    assert python_child(code, tmp_path) == "zenosim.cli main\n"
+
+
+@pytest.mark.parametrize("name", [n for n in zenosim.__all__ if n != "__version__"])
+def test_export_is_its_defining_modules_object(name):
+    value = getattr(zenosim, name)
+    assert getattr(importlib.import_module(value.__module__), name) is value
+    assert vars(zenosim)[name] is value  # resolved once, then a plain global
+
+
+def test_dir_covers_all():
+    assert set(zenosim.__all__) <= set(dir(zenosim))
+
+
+def test_unknown_name_is_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'zenosim' has no attribute 'no_such'$"):
+        zenosim.no_such  # noqa: B018
