@@ -28,10 +28,14 @@ ill-conditioned, both take one fallback from k = 0, the binary powers of the
 step in _binary_products; there the value at T moves with the step by ulps.
 
 Every run returns a SimulationTrace; its last survival entry is W at T.
-A trace holds `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
+A trace has `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
 (run_tunneling, steps defaulting to default_tunneling_steps): one row more
-than its intervals.  The CLI resolves every count into its config and
-passes it explicitly, so its row budget reads the counts a run will use.
+than its intervals.  A run_zeno trace holds its rows, since each check's
+survival depends on every earlier one.  A run_unitary or run_tunneling trace
+holds its times and the source _evolve built, and forms its rows a block at
+a time when they are read: every check that can raise has run by then, and
+the block partition is fixed.  The CLI resolves every count into its config
+and passes it explicitly, so its row budget reads the counts a run will use.
 
 All runs are deterministic, single-threaded and allocation-local; distinct
 runs may execute concurrently without coordination.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -115,18 +120,67 @@ class ZenoSchedule:
         return self.n * self.dt
 
 
-@dataclass
 class SimulationTrace:
     """Time-ordered record of populations and running survival probability.
 
     times        sample instants (ns), strictly increasing
     populations  row k holds (p_1, ..., p_dim) at times[k]
     survival     running survival probability W at times[k]
+    dim          number of levels, the width of populations
+
+    A trace built from the three arrays (run_zeno) holds them.  A trace of
+    run_unitary or run_tunneling holds only `times` and a source of row blocks
+    (see _evolve): populations and survival are formed from the blocks on first
+    access and kept; blocks() forms them again and keeps none, and
+    final_survival reads the last block alone.  Every way gives the same bits.
     """
 
-    times: np.ndarray
-    populations: np.ndarray
-    survival: np.ndarray
+    def __init__(self, times: np.ndarray, populations: np.ndarray, survival: np.ndarray):
+        self.times = times
+        self.dim = populations.shape[1]
+        self._held = (populations, survival)
+
+    @classmethod
+    def _streamed(cls, times: np.ndarray, dim: int, bounds: list,
+                  rows: Callable[[int, int], tuple]) -> SimulationTrace:
+        """A trace whose rows start:stop, for each (start, stop) of bounds, are rows(start, stop)."""
+        trace = cls.__new__(cls)
+        trace.times, trace.dim, trace._held = times, dim, None
+        trace._bounds, trace._rows = bounds, rows
+        return trace
+
+    def _hold(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._held is None:
+            populations = np.empty((len(self.times), self.dim))
+            survival = np.empty(len(self.times))
+            for start, stop in self._bounds:
+                populations[start:stop], survival[start:stop] = self._rows(start, stop)
+            self._held = populations, survival
+        return self._held
+
+    @property
+    def populations(self) -> np.ndarray:
+        return self._hold()[0]
+
+    @property
+    def survival(self) -> np.ndarray:
+        return self._hold()[1]
+
+    @property
+    def final_survival(self) -> float:
+        """W at T, the last survival entry."""
+        if self._held is None:
+            return self._rows(*self._bounds[-1])[1][-1]
+        return self._held[1][-1]
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (times, populations, survival) of consecutive rows, in order:
+        the held rows as one block, or else each block formed anew and not kept."""
+        if self._held is not None:
+            yield (self.times, *self._held)
+            return
+        for start, stop in self._bounds:
+            yield (self.times[start:stop], *self._rows(start, stop))
 
 
 def two_level_survival_closed_form(v: float, t_total: float, n: int) -> float:
@@ -159,13 +213,16 @@ def _check_run(h, psi0, t_total: float) -> tuple[np.ndarray, np.ndarray]:
     return hm, psi
 
 
-def _evolve(h, psi0, t_total: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(times, populations |exp(-iHt)|psi0>|^2) at rows even times from 0 to T.
+def _evolve(h, psi0, t_total: float, rows: int,
+            survival: Callable[[np.ndarray], np.ndarray]) -> SimulationTrace:
+    """The trace of populations |exp(-iHt)|psi0>|^2 at rows even times from 0 to T,
+    with survival(populations) per block of rows.
 
     Every row is V exp(-i Lambda t) V^-1 psi0 from one eigendecomposition (eigh for
     Hermitian H, else eig), _BLOCK rows at a time from t = 0.  If V is ill-conditioned
     (EIGVEC_COND_MAX), row k is the product of exp(-iH dt 2^b) over the bits b of k.
     Row 0 is |psi0|^2 itself: the eigenbasis round trip would move it an ulp.
+    Everything that can raise runs here; the trace forms its blocks when read.
     """
     times = np.linspace(0.0, t_total, rows)
     hermitian = is_hermitian(h)
@@ -187,14 +244,18 @@ def _evolve(h, psi0, t_total: float, rows: int) -> tuple[np.ndarray, np.ndarray]
             np.exp(phases, out=phases)
             phases *= coef[:, None]
             return np.abs((vecs @ phases).T) ** 2
-    populations = np.empty((rows, len(psi0)))
+
+    def block_rows(start, stop):
+        populations = block_populations(start, stop)
+        if start == 0:
+            populations[0] = np.abs(psi0) ** 2
+        return populations, survival(populations)
+
     # numpy sends a one-column product to gemv, not gemm, so a lone last row
     # joins the block before it.
     starts = range(0, rows - 1, _BLOCK)
-    for start, stop in zip(starts, [*starts[1:], rows]):
-        populations[start:stop] = block_populations(start, stop)
-    populations[0] = np.abs(psi0) ** 2
-    return times, populations
+    bounds = list(zip(starts, [*starts[1:], rows]))
+    return SimulationTrace._streamed(times, len(psi0), bounds, block_rows)
 
 
 def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
@@ -208,10 +269,7 @@ def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> Simu
     if not is_hermitian(hm):
         raise ValueError("h must be Hermitian; use run_tunneling for decaying levels")
     samples = _check_count("samples", samples, minimum=2)
-
-    times, populations = _evolve(hm, psi, t_total, samples)
-    survival = 1.0 - populations[:, -1]
-    return SimulationTrace(times=times, populations=populations, survival=survival)
+    return _evolve(hm, psi, t_total, samples, lambda p: 1.0 - p[:, -1])
 
 
 def _unit(z: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -230,6 +288,8 @@ def _binary_products(factors: list, x0, powers) -> tuple[np.ndarray, np.ndarray]
     exponent = np.zeros(len(powers), dtype=int)
     for bit, factor in enumerate(factors):
         cols = np.flatnonzero(powers >> bit & 1)
+        if not cols.size:
+            continue
         y = sum(entry[:, None] * row for entry, row in zip(factor.T, x[:, cols]))
         exponent[cols] -= _unit(y, axis=0)
         x[:, cols] = y
@@ -265,14 +325,19 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np
         def columns(powers):
             return np.exp(np.outer(log_mu, powers))
     else:
-        amps = u[:, :-1]
-        squares = [kept]
+        # Only the levels psi0 reaches through K's nonzero entries: a level it
+        # never reaches must not set the scale of the squares below.
+        reach = psi[:-1] != 0
+        for _ in range(len(kept)):
+            reach |= (kept[:, reach] != 0).any(axis=1)
+        amps = u[:, :-1][:, reach]
+        squares = [kept[np.ix_(reach, reach)]]
         while len(squares) < (n - 1).bit_length():
             squares.append(squares[-1] @ squares[-1])
             _unit(squares[-1])
 
         def columns(powers):
-            return _binary_products(squares, psi[:-1], powers)[0]
+            return _binary_products(squares, psi[:-1][reach], powers)[0]
     populations = np.zeros((n + 1, len(psi)))
     populations[0] = np.abs(psi) ** 2
     odds = np.zeros(n + 1)
@@ -370,9 +435,7 @@ def run_tunneling(h_nh, psi0, t_total: float, steps: int | None = None) -> Simul
         steps = default_tunneling_steps(2.0 * float(decay_rates[-1]), t_total)
     steps = _check_count("steps", steps)
 
-    times, populations = _evolve(hm, psi, t_total, steps + 1)
-    survival = populations[:, :-1].sum(axis=1)
-    return SimulationTrace(times=times, populations=populations, survival=survival)
+    return _evolve(hm, psi, t_total, steps + 1, lambda p: p[:, :-1].sum(axis=1))
 
 
 def perturbative_step(a1: complex, a2: complex, omega: float, eta: float,

@@ -53,9 +53,10 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-# The most rows one engine run of a scenario may build (at dim 3, 40 bytes per
-# row plus one fixed block, 80 MB at the limit); a config above it is rejected
-# before any allocation.
+# The most rows one engine run of a scenario may build; a config above it is
+# rejected before any allocation.  A Zeno run holds 40 bytes per row at dim 3
+# plus one fixed block, 80 MB at the limit; a unitary or tunneling run written
+# by the CLI holds its times, 8 bytes per row, and one block at a time.
 MAX_TRACE_ROWS = 2_000_000
 
 
@@ -313,10 +314,10 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SimulationTrace
         raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     h = build_three_level(model.omega, model.phi, model.eta)
     psi0 = _ground_state(3)
-    baseline = float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
+    baseline = float(run_unitary(h, psi0, t_total, samples=2).final_survival)
     for n in range(2, n_max + 1):
         trace = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
-        if trace.survival[-1] >= baseline:
+        if trace.final_survival >= baseline:
             return trace
     return None
 
@@ -340,17 +341,17 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     @functools.cache
     def w_zeno(omega: float, n: int, dt: float) -> float:
         h = build_three_level(omega, model.phi, model.eta)
-        return float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).survival[-1])
+        return float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).final_survival)
 
     @functools.cache
     def w_no_zeno(omega: float, t_total: float) -> float:
         h = build_three_level(omega, model.phi, model.eta)
-        return float(run_unitary(h, psi0, t_total, samples=2).survival[-1])
+        return float(run_unitary(h, psi0, t_total, samples=2).final_survival)
 
     @functools.cache
     def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
         h = build_tunneling(omega, model.eta, gamma)
-        return float(run_tunneling(h, psi0, t_total, steps=1).survival[-1])
+        return float(run_tunneling(h, psi0, t_total, steps=1).final_survival)
 
     records = []
     for value in cfg.axis_values:
@@ -370,7 +371,7 @@ def _fmt(x: float) -> str:
 
 
 # Rows formatted per kernel call when a trace is written; the kernel's working
-# set (about 1.5 MB, kept from block to block) does not grow with the trace.
+# set (about 2.9 MB, kept from block to block) does not grow with the trace.
 _BLOCK_ROWS = 1024
 
 
@@ -429,27 +430,30 @@ def _is_file(target, st: os.stat_result) -> bool:
         return False
 
 
-def _format_blocks(table: list[np.ndarray]) -> Iterator[str]:
-    """Yield equal-length float columns as CSV text, `_BLOCK_ROWS` rows per
-    kernel call, each cell with the bytes `%.17g` gives it."""
+def _format_blocks(blocks: Iterable[list[np.ndarray]]) -> Iterator[str]:
+    """Yield each block of equal-length float columns as CSV text, at most
+    `_BLOCK_ROWS` rows per kernel call on one workspace for all blocks, each
+    cell with the bytes `%.17g` gives it."""
     # Imported here, so that only a run that writes a trace compiles it.
     from ._g17 import format_block
 
     work: dict = {}
-    for start in range(0, len(table[0]), _BLOCK_ROWS):
-        yield format_block(np.stack([col[start:start + _BLOCK_ROWS] for col in table],
-                                    axis=1, dtype=float), work)
+    for table in blocks:
+        for start in range(0, len(table[0]), _BLOCK_ROWS):
+            yield format_block(np.stack([col[start:start + _BLOCK_ROWS] for col in table],
+                                        axis=1, dtype=float), work)
 
 
 def emit_trace_csv(trace: SimulationTrace, path) -> None:
     """Write a trace as `t,p1,p2,p3,W` rows (LF newlines, 17 significant
-    digits, no trailing blank line); two-level traces pad p3 with zero."""
-    n_rows, dim = trace.populations.shape
-    if dim > 3:
-        raise ValueError(f"trace CSV holds at most three levels, got dim {dim}")
-    levels = [trace.populations[:, j] for j in range(dim)]
-    levels += [np.broadcast_to(0.0, n_rows)] * (3 - dim)
-    _write_csv(path, "t,p1,p2,p3,W", _format_blocks([trace.times, *levels, trace.survival]))
+    digits, no trailing blank line); two-level traces pad p3 with zero.
+    Rows are formed and written a block at a time (SimulationTrace.blocks)."""
+    if trace.dim > 3:
+        raise ValueError(f"trace CSV holds at most three levels, got dim {trace.dim}")
+    pad = 3 - trace.dim
+    _write_csv(path, "t,p1,p2,p3,W", _format_blocks(
+        [t, *populations.T, *[np.broadcast_to(0.0, len(t))] * pad, survival]
+        for t, populations, survival in trace.blocks()))
 
 
 def emit_sweep_csv(result: SweepResult, path) -> None:
@@ -471,7 +475,7 @@ def _emit_ghz_csv(psi: np.ndarray, path) -> None:
 def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace) -> str:
     if cfg.output_path:
         emit_trace_csv(trace, cfg.output_path)
-    return f"T={_fmt(cfg.t_total)} W={_fmt(trace.survival[-1])}"
+    return f"T={_fmt(cfg.t_total)} W={_fmt(trace.final_survival)}"
 
 
 # Runners look the engine, builders and emitters up by module-level name at
@@ -522,7 +526,7 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
     trace = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
     if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
-    return f"T={_fmt(cfg.t_total)} n_crit={len(trace.times) - 1} W={_fmt(trace.survival[-1])}"
+    return f"T={_fmt(cfg.t_total)} n_crit={len(trace.times) - 1} W={_fmt(trace.final_survival)}"
 
 
 @dataclass(frozen=True)

@@ -625,6 +625,49 @@ class TestTraceCsv:
             emit_trace_csv(trace, missing)
 
 
+# Streamed traces: the eigenvector path (no-zeno), the eig path with a lone
+# last row (12,289 rows = 12 * 1,024 + 1) and the binary-powers fallback.
+STREAMED_RUNS = {
+    "no_zeno": lambda: run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0,
+                                   samples=10_001),
+    "tunneling": lambda: run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
+                                       steps=12_288),
+    "exceptional_point": lambda: run_tunneling(
+        build_tunneling(oracles.EXCEPTIONAL_POINT["omega"], oracles.EXCEPTIONAL_POINT["eta"],
+                        oracles.EXCEPTIONAL_POINT["gamma"]),
+        ground_state(), oracles.EXCEPTIONAL_POINT["t_total"], steps=5_000),
+}
+
+
+class TestStreamedTraceCsv:
+    """Unitary and tunneling traces are written from their blocks, not held."""
+
+    @pytest.mark.parametrize("run", sorted(STREAMED_RUNS))
+    def test_streamed_csv_equals_the_materialized_trace(self, run, tmp_path):
+        trace = STREAMED_RUNS[run]()
+        emit_trace_csv(trace, tmp_path / "streamed.csv")
+        held = SimulationTrace(times=trace.times, populations=trace.populations,
+                               survival=trace.survival)
+        emit_trace_csv(held, tmp_path / "held.csv")
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "held.csv").read_bytes()
+        assert streamed.count(b"\n") == len(trace.times) + 1
+        assert trace.final_survival == held.final_survival == trace.survival[-1]
+
+    def test_a_long_tunneling_trace_is_written_holding_its_times_alone(self, tmp_path):
+        # 200,001 rows: 1.6 MB of times, against 8 MB of populations and
+        # survival, which the run and its emission never hold.
+        tracemalloc.start()
+        try:
+            trace = run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
+                                  steps=200_000)
+            emit_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.times.nbytes + 4e6
+
+
 class TestTraceCsvKernel:
     """Trace CSVs hold the bytes `%.17g` writes, cell for cell."""
 
@@ -632,7 +675,7 @@ class TestTraceCsvKernel:
     def assert_as_percent(values, cols=5):
         values = np.asarray(values, dtype=float).ravel()
         table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
-        text = "".join(report._format_blocks(list(table.T)))
+        text = "".join(report._format_blocks([list(table.T)]))
         assert_same_lines(text, oracles.csv_17g(table))
         return text
 
