@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_vector, apply, kron, mat_exp
-from .models import SIGMA_X, SIGMA_Y, build_ghz_hamiltonian
+# `apply` and `kron` are unused here; bench/traced_child.py wraps them by name.
+from .linalg import _as_vector, apply, kron, mat_exp  # noqa: F401
+from .models import SIGMA_X, SIGMA_Y, _register, build_ghz_hamiltonian
 
 __all__ = [
     "GhzDiagnostics",
@@ -35,8 +36,8 @@ class GhzDiagnostics:
 
     fidelity              |<GHZ|psi>|^2 maximized over the relative phase
                           between |000> and |111>, i.e. (|a_000|+|a_111|)^2/2
-    uniformity_deviation  max_k | |a_k|^2 - 1/8 |
-    global_phase          argument of the largest-magnitude amplitude (rad)
+    uniformity_deviation  max_k | |a_k|^2 - 1/8 | over the computational states
+    global_phase          argument of the largest computational amplitude (rad)
     """
 
     fidelity: float
@@ -47,12 +48,13 @@ class GhzDiagnostics:
 def rotation_pulse(axis: str, theta: float) -> np.ndarray:
     """Simultaneous single-qubit rotation exp(-i theta/2 sigma_axis) on all
     three qubits, as an 8x8 unitary."""
-    generators = {"x": SIGMA_X, "y": SIGMA_Y}
-    key = str(axis).lower()
-    if key not in generators:
+    generator = {"x": SIGMA_X, "y": SIGMA_Y}.get(str(axis).lower())
+    if generator is None:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    single = mat_exp(generators[key], -0.5j * theta)
-    return kron(kron(single, single), single)
+    single = mat_exp(generator, -0.5j * theta)
+    # Each entry multiplies the qubits' factors in np.kron's order, (q1 q2) q3.
+    q1, q2, q3 = _register(len(single)).T
+    return single[np.ix_(q1, q1)] * single[np.ix_(q2, q2)] * single[np.ix_(q3, q3)]
 
 
 def entangling_time(g: float, g_tilde: float) -> float:
@@ -70,29 +72,25 @@ def entangling_time(g: float, g_tilde: float) -> float:
 
 def run_ghz_protocol(g: float, g_tilde: float) -> tuple[np.ndarray, GhzDiagnostics]:
     """Run X_{pi/2} U_int Y_{pi/2} on |000> and diagnose the result."""
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 1.0
-    psi = apply(rotation_pulse("y", math.pi / 2), psi)
+    psi = rotation_pulse("y", math.pi / 2)[:, 0]  # the pulse applied to |000>
     h = build_ghz_hamiltonian(np.zeros((3, 3)), g, g_tilde)  # drives off
-    psi = apply(mat_exp(h, -1j * entangling_time(g, g_tilde)), psi)
-    psi = apply(rotation_pulse("x", math.pi / 2), psi)
+    psi = mat_exp(h, -1j * entangling_time(g, g_tilde)) @ psi
+    psi = rotation_pulse("x", math.pi / 2) @ psi
     return psi, ghz_fidelity(psi)
 
 
 def ghz_fidelity(psi) -> GhzDiagnostics:
-    """Diagnostics of a normalized 8-dimensional state vector."""
+    """Diagnostics of a normalized state of d**3 amplitudes, d >= 2 levels per qubit."""
     v = _as_vector(psi)
-    if v.shape != (8,):
-        raise ValueError(f"state must have dim 8, got shape {v.shape}")
+    d = round(len(v) ** (1 / 3))
+    if d < 2 or d**3 != len(v):
+        raise ValueError(f"state must have dim d**3 with d >= 2, got shape {v.shape}")
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized, got norm {nrm}")
-    probs = np.abs(v) ** 2
-    fidelity = 0.5 * (abs(v[0]) + abs(v[7])) ** 2
-    uniformity_deviation = float(np.max(np.abs(probs - 0.125)))
-    global_phase = float(np.angle(v[int(np.argmax(np.abs(v)))]))
+    a = v[(_register(d) < 2).all(axis=1)]  # computational states: |000> first, |111> last
     return GhzDiagnostics(
-        fidelity=float(fidelity),
-        uniformity_deviation=uniformity_deviation,
-        global_phase=global_phase,
+        fidelity=float(0.5 * (abs(a[0]) + abs(a[-1])) ** 2),
+        uniformity_deviation=float(np.max(np.abs(np.abs(a) ** 2 - 0.125))),
+        global_phase=float(np.angle(a[int(np.argmax(np.abs(a)))])),
     )

@@ -7,7 +7,7 @@ the fully connected three-qubit network with XY + ZZ couplings.
 Conventions, fixed here once for the whole package:
   * units: all rates and frequencies in angular rad/ns, hbar = 1;
   * levels are labeled 1..dim, level i sits at vector index i-1;
-  * qubit tensor order is qubit-1 (x) qubit-2 (x) qubit-3, |0> = ground;
+  * qubit tensor order is qubit-1 (x) qubit-2 (x) qubit-3 (`_register`), |0> = ground;
   * sigma_z |0> = +|0>.
 """
 
@@ -40,6 +40,11 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 DEFAULT_ETA = -0.2
 # Drive phase realizing rotations about the Y axis.
 DEFAULT_PHI = -math.pi / 2
+
+
+def _register(d: int) -> np.ndarray:
+    """Row k: qubits 1-3's levels in basis state k, d levels each, qubit 1 most significant."""
+    return np.indices((d,) * 3).reshape(3, -1).T
 
 
 def _require_finite(**params: float) -> None:
@@ -128,10 +133,9 @@ def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
 
     omega_vecs: three 3-vectors of per-qubit drive components (x, y, z).
 
-    Written entry by entry: in basis state k, qubit i (qubit 1 the high bit)
-    has z_i = 1 - 2 bit_i(k).  The Omega_z and ZZ terms are diagonal,
-    Omega_x + i z_i Omega_y links k to k with bit i flipped, and g links k to
-    k with two unequal bits swapped.
+    Written entry by entry from `_register(2)`: qubit i at level n_i of basis
+    state k has z_i = 1 - 2 n_i.  The Omega_z and ZZ terms are diagonal,
+    Omega_x + i z_i Omega_y flips qubit i, and g swaps two unequal qubits.
     """
     _require_finite(g=g, g_tilde=g_tilde)
     vecs = np.asarray(omega_vecs, dtype=float)
@@ -142,16 +146,18 @@ def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
 
     # g/2 and g_tilde/2 summed as the sum of Pauli products sums them: same bits.
     xy, zz = 0.5 * g, 0.5 * g_tilde
-    h = np.zeros((8, 8), dtype=complex)
-    for k in range(8):
-        z = [1.0 - 2.0 * (k >> (2 - i) & 1) for i in range(3)]
-        diag = 0.0
+    zs = (1.0 - 2.0 * _register(2)).tolist()
+
+    def flip(k, *qubits):  # the index of basis state k with these qubits flipped
+        return zs.index([-z if q in qubits else z for q, z in enumerate(zs[k])])
+
+    h = np.zeros((len(zs),) * 2, dtype=complex)
+    for k, z in enumerate(zs):
         for i, (ox, oy, oz) in enumerate(vecs.tolist()):
-            diag += oz * z[i]
-            h[k ^ (4 >> i), k] += complex(ox, z[i] * oy)
+            h[k, k] += oz * z[i]
+            h[flip(k, i), k] += complex(ox, z[i] * oy)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            diag += zz * z[i] * z[j]
+            h[k, k] += zz * z[i] * z[j]
             if z[i] != z[j]:
-                h[k ^ (4 >> i) ^ (4 >> j), k] += xy + xy
-        h[k, k] = diag
+                h[flip(k, i, j), k] += xy + xy
     return h

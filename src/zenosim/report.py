@@ -32,7 +32,7 @@ from .engine import (
     run_zeno,
 )
 from .ghz import entangling_time, run_ghz_protocol
-from .models import ModelSpec, build_three_level, build_tunneling, build_two_level
+from .models import ModelSpec, _register, build_three_level, build_tunneling, build_two_level
 
 __all__ = [
     "ConfigError",
@@ -467,8 +467,8 @@ def emit_sweep_csv(result: SweepResult, path) -> None:
 
 def _emit_ghz_csv(psi: np.ndarray, path) -> None:
     _write_csv(path, "basis,re,im,p", (
-        f"{k:03b},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs(amp) ** 2)}\n"
-        for k, amp in enumerate(psi)
+        f"{''.join(map(str, row))},{_fmt(amp.real)},{_fmt(amp.imag)},{_fmt(abs(amp) ** 2)}\n"
+        for row, amp in zip(_register(round(len(psi) ** (1 / 3))).tolist(), psi)
     ))
 
 

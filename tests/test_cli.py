@@ -48,8 +48,8 @@ class TestParser:
 class TestMain:
     def test_ghz_from_flags_only(self, capsys):
         assert main(["ghz", "--g", "0.02", "--g-tilde", "0.005"]) == 0
-        out = capsys.readouterr().out
-        assert float(out.strip().split("W=")[1]) >= 1.0 - 1e-9
+        # The sha256 pins below hash the CSV only; this pins the summary's W.
+        assert capsys.readouterr().out == "mode=ghz T=104.71975511965978 W=0.99999999999999767\n"
 
     def test_config_plus_overrides(self, tmp_path, capsys):
         path = write_config(tmp_path, mode="three_level_zeno", omega=0.05, n=50, dt=0.1)

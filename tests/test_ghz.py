@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from zenosim import report
 from zenosim.ghz import (
     GhzDiagnostics,
     entangling_time,
@@ -11,6 +13,7 @@ from zenosim.ghz import (
     run_ghz_protocol,
 )
 from zenosim.cli import main
+from zenosim.linalg import mat_exp
 from zenosim.models import SIGMA_X, SIGMA_Y, build_ghz_hamiltonian
 
 from oracles import qubit_permutation_operator, taylor_expm
@@ -18,10 +21,14 @@ from oracles import qubit_permutation_operator, taylor_expm
 COUPLING_GRID = [(0.02, 0.005), (0.03, 0.01), (0.01, -0.01)]
 
 
-def basis_state(index: int) -> np.ndarray:
-    psi = np.zeros(8, dtype=complex)
+def basis_state(index: int, dim: int = 8) -> np.ndarray:
+    psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0
     return psi
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestRotationPulse:
@@ -46,6 +53,9 @@ class TestRotationPulse:
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         single = c * np.eye(2) - 1j * s * sigma
         np.testing.assert_allclose(u, np.kron(np.kron(single, single), single), atol=1e-12)
+        # bit for bit the Kronecker product of the pulse's own single-qubit factor
+        factor = mat_exp(sigma, -0.5j * theta)
+        assert np.array_equal(bits(u), bits(np.kron(np.kron(factor, factor), factor)))
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError):
@@ -100,6 +110,22 @@ class TestProtocol:
             @ basis_state(0)
         )
         np.testing.assert_allclose(psi, reference, atol=1e-12)
+
+    def test_state_is_bitwise_that_of_kron_pulses_applied_to_000(self):
+        rng = np.random.default_rng(2008)
+        pairs = COUPLING_GRID + (10.0 ** rng.uniform(-4.0, 0.0, size=(20, 2))
+                                 * rng.choice([-1.0, 1.0], size=(20, 2))).tolist()
+
+        def pulse(sigma):
+            s = mat_exp(sigma, -0.5j * (math.pi / 2))
+            return np.kron(np.kron(s, s), s)
+
+        for g, g_tilde in pairs:
+            psi, _ = run_ghz_protocol(g, g_tilde)
+            h = build_ghz_hamiltonian(np.zeros((3, 3)), g, g_tilde)
+            u_int = mat_exp(h, -1j * entangling_time(g, g_tilde))
+            reference = pulse(SIGMA_X) @ (u_int @ (pulse(SIGMA_Y) @ basis_state(0)))
+            assert np.array_equal(bits(psi), bits(reference)), (g, g_tilde)
 
     def test_intermediate_state_is_uniform(self):
         psi = rotation_pulse("y", math.pi / 2) @ basis_state(0)
@@ -158,3 +184,32 @@ class TestGhzFidelity:
     def test_rejects_a_non_finite_state(self):
         with pytest.raises(ValueError, match="non-finite"):
             ghz_fidelity([np.nan] + [0.0] * 7)
+
+
+class TestThreeLevelRegister:
+    """27 amplitudes, three levels per qubit: |111> sits at index 13."""
+
+    computational = [0, 1, 3, 4, 9, 10, 12, 13]
+
+    def test_perfect_ghz(self):
+        psi = (basis_state(0, 27) + basis_state(13, 27)) / math.sqrt(2)
+        assert ghz_fidelity(psi).fidelity == pytest.approx(1.0, abs=1e-15)
+
+    def test_uniform_over_the_computational_states(self):
+        psi = sum(basis_state(k, 27) for k in self.computational) / math.sqrt(8)
+        diag = ghz_fidelity(psi)
+        assert diag.uniformity_deviation <= 1e-15
+        assert diag.fidelity == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 9, 26])
+    def test_rejects_a_length_that_is_not_a_cube(self, dim):
+        with pytest.raises(ValueError, match=r"d\*\*3"):
+            ghz_fidelity(basis_state(0, dim))
+
+    def test_csv_labels_are_the_level_digits(self, tmp_path):
+        out = tmp_path / "out.csv"
+        report._emit_ghz_csv(basis_state(13, 27), out)
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [
+            "".join(digits) for digits in itertools.product("012", repeat=3)]
+        assert rows[13] == "111,1,0,1"

@@ -39,12 +39,11 @@ MODES = {
         ["tunneling", "--omega", "0.05", "--gamma", "1", "--t-total", "1",
          "--out", "out.csv"], None,
         {"models.build": 1, "engine.tunneling": 1, "report.emit": 1}),
-    # Two rotations of three single-qubit factors: 4 kron calls; the coupling
-    # Hamiltonian is built entry by entry, without any.
+    # The pulses and the coupling Hamiltonian are built entry by entry from the
+    # register table and applied with `@`: no kron or apply call.
     "ghz": (
         ["ghz", "--g", "0.02", "--g-tilde", "0.005", "--out", "out.csv"], None,
-        {"ghz.protocol": 1, "models.ghz_build": 1, "linalg.kron": 4, "linalg.mat_exp": 3,
-         "linalg.apply": 3, "report.emit": 1}),
+        {"ghz.protocol": 1, "models.ghz_build": 1, "linalg.mat_exp": 3, "report.emit": 1}),
     # Per point: a tunneling end value; the Zeno run and w_no_zeno are shared.
     "sweep": (
         ["sweep", "--out", "out.csv"],
