@@ -41,6 +41,8 @@ _TAIL = b",.-0e+\0\x01"
 _EXP_KIND, _ZERO_KIND, _FALLBACK_KIND = 21, 25, 26
 # The longest cell, '-d.dddddddddddddddde-ddd', and its separator.
 _WIDTH = 25
+# Cells laid out per pass, a quarter of a 1,024-row trace block: 256 KB of index.
+_PASS = 1280
 
 
 def _halves(v):
@@ -95,14 +97,13 @@ class _LazyRows:
         self.built = np.zeros(size, dtype=bool)
         self.build = build
 
-    def take(self, keys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def table(self, keys: np.ndarray) -> np.ndarray:
+        """The table, with the row of every key in `keys` built."""
         new = np.flatnonzero((np.bincount(keys, minlength=len(self.built)) > 0) & ~self.built)
         for key in new.tolist():
             self.rows[key] = self.build(key)
         self.built[new] = True
-        # k lies in [-281, 280] and a layout key below 34 * 27, so "clip" moves
-        # no key; in the default mode "raise", numpy would buffer `out`.
-        return self.rows.take(keys, axis=0, out=out, mode="clip")
+        return self.rows
 
 
 _SCALES = _LazyRows(_K_MAX - _K_MIN + 1, 3, np.float64, _scale)
@@ -141,7 +142,7 @@ def format_block(block: np.ndarray, work: dict) -> str:
     k = np.floor(np.log10(a)).astype(np.intp)
 
     # |x| * 10**(16 - k) = top + whole + frac, with top and whole integers.
-    hi_high, hi_low, lo = _SCALES.take(k - _K_MIN).T
+    hi_high, hi_low, lo = _SCALES.table(k - _K_MIN).take(k - _K_MIN, axis=0).T
     a_high, a_low = _halves(a)
     top = a * (hi_high + hi_low)
     rest = ((a_high * hi_high - top) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
@@ -177,13 +178,22 @@ def format_block(block: np.ndarray, work: dict) -> str:
     kind = np.where((k >= -4) & (k < 17), k + 4, _EXP_KIND + 2 * (k > 0) + (np.abs(k) >= 100))
     kind = np.where(ok, kind, np.where(zero, _ZERO_KIND, _FALLBACK_KIND))
     key = (kind * 17 + np.where(ok, last, 0)) * 2 + (np.signbit(x) & (ok | zero))
-    index = _LAYOUTS.take(key, _kept(work, "index", (x.size, _WIDTH), np.intp))
-    index += np.arange(0, 32 * x.size, 32)[:, None]
-    # Every index is below 32 * x.size: a layout's source bytes are 0-31.
-    out = src.view(np.uint8).ravel().take(index, out=_kept(work, "out", index.shape, np.uint8),
-                                          mode="wrap")
-    mask = np.not_equal(out, 0, out=_kept(work, "mask", out.shape, bool))
-    text = out[mask].tobytes().decode("ascii")
+    # Layout, byte gather and NUL compaction, _PASS cells at a time.  A layout
+    # key is below 34 * 27 and an index below 32 * cells (a layout's source
+    # bytes are 0-31), so "clip" and "wrap" move none; in the default mode
+    # "raise", numpy would buffer `out`.
+    layouts, data = _LAYOUTS.table(key), src.view(np.uint8).ravel()
+    offsets, pieces = np.arange(0, 32 * _PASS, 32)[:, None], []
+    for start in range(0, x.size, _PASS):
+        keys = key[start:start + _PASS]
+        index = layouts.take(keys, axis=0, out=_kept(work, "index", (keys.size, _WIDTH), np.intp),
+                             mode="clip")
+        index += offsets[:keys.size]
+        out = data[32 * start:].take(index, out=_kept(work, "out", index.shape, np.uint8),
+                                     mode="wrap")
+        mask = np.not_equal(out, 0, out=_kept(work, "mask", out.shape, bool))
+        pieces.append(out[mask].tobytes())
+    text = b"".join(pieces).decode("ascii")
     fallback = np.flatnonzero(kind == _FALLBACK_KIND)
     if not fallback.size:
         return text

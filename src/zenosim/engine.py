@@ -30,12 +30,11 @@ step in _binary_products; there the value at T moves with the step by ulps.
 Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace has `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
 (run_tunneling, steps defaulting to default_tunneling_steps): one row more
-than its intervals.  A run_zeno trace holds its rows, since each check's
-survival depends on every earlier one.  A run_unitary or run_tunneling trace
-holds its times and the source _evolve built, and forms its rows a block at
-a time when they are read: every check that can raise has run by then, and
-the block partition is fixed.  The CLI resolves every count into its config
-and passes it explicitly, so its row budget reads the counts a run will use.
+than its intervals.  Every check that can raise runs before the runner
+returns, and the trace forms its rows a block at a time when they are read,
+holding only what a later row depends on (see SimulationTrace).  The CLI
+resolves every count into its config and passes it explicitly, so its row
+budget reads the counts a run will use.
 
 All runs are deterministic, single-threaded and allocation-local; distinct
 runs may execute concurrently without coordination.
@@ -43,6 +42,7 @@ runs may execute concurrently without coordination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -79,9 +79,9 @@ DEFAULT_SAMPLES = 101
 # _binary_products instead, at ~1.3-2 us a row; -1 forces that fallback.
 EIGVEC_COND_MAX = 1e4
 
-# Rows _evolve, and checks run_zeno, form per pass: about 0.28 MB of Zeno
-# working set at dim 3.  A power of two, so that every column of _evolve meets
-# the gemm kernel (unrolled over a few columns) it meets in one all-row product.
+# Rows _evolve and run_zeno form per pass: about 0.3 MB of Zeno working set
+# at dim 3.  A power of two, so that every column of _evolve meets the gemm
+# kernel (unrolled over a few columns) it meets in one all-row product.
 _BLOCK = 1024
 
 
@@ -128,59 +128,71 @@ class SimulationTrace:
     survival     running survival probability W at times[k]
     dim          number of levels, the width of populations
 
-    A trace built from the three arrays (run_zeno) holds them.  A trace of
-    run_unitary or run_tunneling holds only `times` and a source of row blocks
-    (see _evolve): populations and survival are formed from the blocks on first
-    access and kept; blocks() forms them again and keeps none, and
-    final_survival reads the last block alone.  Every way gives the same bits.
+    A trace holds only what a later row depends on, and forms its rows a
+    block at a time (_partition) when they are read: each column on first
+    access, then kept, and each block in blocks(), not kept.  A trace built
+    from the three arrays holds them as one block; a run_zeno trace holds its
+    survival, since each check's survival depends on every earlier one; a
+    run_unitary or run_tunneling trace holds no row.  final_survival reads a
+    held survival, or else the last block alone.  Every way gives the same bits.
     """
 
     def __init__(self, times: np.ndarray, populations: np.ndarray, survival: np.ndarray):
-        self.times = times
-        self.dim = populations.shape[1]
-        self._held = (populations, survival)
+        self.times, self.populations, self.survival = times, populations, survival
+        self.dim, self._bounds = populations.shape[1], [(0, len(times))]
+        self._times = lambda start, stop: times[start:stop]
+        self._rows = lambda start, stop: (populations[start:stop], survival[start:stop])
 
     @classmethod
-    def _streamed(cls, times: np.ndarray, dim: int, bounds: list,
-                  rows: Callable[[int, int], tuple]) -> SimulationTrace:
-        """A trace whose rows start:stop, for each (start, stop) of bounds, are rows(start, stop)."""
+    def _streamed(cls, dim: int, bounds: list, times: Callable, rows: Callable,
+                  survival: np.ndarray | None = None) -> SimulationTrace:
+        """A trace whose rows start:stop, for each (start, stop) of bounds, have
+        times(start, stop) and (populations, survival) rows(start, stop), and
+        which holds `survival` if it is given."""
         trace = cls.__new__(cls)
-        trace.times, trace.dim, trace._held = times, dim, None
-        trace._bounds, trace._rows = bounds, rows
+        trace.dim, trace._bounds, trace._times, trace._rows = dim, bounds, times, rows
+        if survival is not None:
+            trace.survival = survival
         return trace
 
-    def _hold(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._held is None:
-            populations = np.empty((len(self.times), self.dim))
-            survival = np.empty(len(self.times))
-            for start, stop in self._bounds:
-                populations[start:stop], survival[start:stop] = self._rows(start, stop)
-            self._held = populations, survival
-        return self._held
+    # A column formed or held is kept in the instance, where it hides the property.
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return self._times(0, self._bounds[-1][1])
 
-    @property
+    @functools.cached_property
     def populations(self) -> np.ndarray:
-        return self._hold()[0]
+        populations = np.empty((self._bounds[-1][1], self.dim))
+        survival = np.empty(len(populations))
+        for start, stop in self._bounds:
+            populations[start:stop], survival[start:stop] = self._rows(start, stop)
+        vars(self).setdefault("survival", survival)
+        return populations
 
-    @property
+    @functools.cached_property
     def survival(self) -> np.ndarray:
-        return self._hold()[1]
+        self.populations  # forms both columns and keeps the survival
+        return vars(self)["survival"]
 
     @property
     def final_survival(self) -> float:
         """W at T, the last survival entry."""
-        if self._held is None:
-            return self._rows(*self._bounds[-1])[1][-1]
-        return self._held[1][-1]
+        held = vars(self).get("survival")
+        return (self._rows(*self._bounds[-1])[1] if held is None else held)[-1]
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield (times, populations, survival) of consecutive rows, in order:
-        the held rows as one block, or else each block formed anew and not kept."""
-        if self._held is not None:
-            yield (self.times, *self._held)
-            return
+        """Yield (times, populations, survival) of consecutive rows, in order,
+        each block formed anew and not kept."""
         for start, stop in self._bounds:
-            yield (self.times[start:stop], *self._rows(start, stop))
+            yield (self._times(start, stop), *self._rows(start, stop))
+
+
+def _partition(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of _BLOCK rows from row 0.  numpy sends a
+    one-column product to gemv, not gemm, so a lone last row joins the block
+    before it."""
+    starts = range(0, rows - 1, _BLOCK)
+    return list(zip(starts, [*starts[1:], rows]))
 
 
 def two_level_survival_closed_form(v: float, t_total: float, n: int) -> float:
@@ -224,14 +236,23 @@ def _evolve(h, psi0, t_total: float, rows: int,
     Row 0 is |psi0|^2 itself: the eigenbasis round trip would move it an ulp.
     Everything that can raise runs here; the trace forms its blocks when read.
     """
-    times = np.linspace(0.0, t_total, rows)
+    step = t_total / (rows - 1)
+
+    def block_times(start, stop):
+        """Rows start:stop of np.linspace(0, T, rows), by its own arithmetic,
+        which divides first and scales after when the step rounds to 0."""
+        t = np.arange(start, stop, dtype=float)
+        t = t * step if step else t / (rows - 1) * t_total
+        if stop == rows:
+            t[-1] = t_total
+        return t
+
     hermitian = is_hermitian(h)
     w, vecs = np.linalg.eigh(h) if hermitian else np.linalg.eig(h)
     _check_exponent(w, t_total)
     if not hermitian and np.linalg.cond(vecs) > EIGVEC_COND_MAX:
         # Squaring exp(-iH dt) up to these would compound its rounding.
-        dt = t_total / (rows - 1)
-        factors = [mat_exp(h, -1j * dt * 2.0**b) for b in range((rows - 1).bit_length())]
+        factors = [mat_exp(h, -1j * step * 2.0**b) for b in range((rows - 1).bit_length())]
 
         def block_populations(start, stop):
             x, exponent = _binary_products(factors, psi0, np.arange(start, stop))
@@ -240,7 +261,7 @@ def _evolve(h, psi0, t_total: float, rows: int,
         coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
 
         def block_populations(start, stop):
-            phases = np.outer(-1j * w, times[start:stop])
+            phases = np.outer(-1j * w, block_times(start, stop))
             np.exp(phases, out=phases)
             phases *= coef[:, None]
             return np.abs((vecs @ phases).T) ** 2
@@ -251,11 +272,7 @@ def _evolve(h, psi0, t_total: float, rows: int,
             populations[0] = np.abs(psi0) ** 2
         return populations, survival(populations)
 
-    # numpy sends a one-column product to gemv, not gemm, so a lone last row
-    # joins the block before it.
-    starts = range(0, rows - 1, _BLOCK)
-    bounds = list(zip(starts, [*starts[1:], rows]))
-    return SimulationTrace._streamed(times, len(psi0), bounds, block_rows)
+    return SimulationTrace._streamed(len(psi0), _partition(rows), block_times, block_rows)
 
 
 def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
@@ -286,18 +303,20 @@ def _binary_products(factors: list, x0, powers) -> tuple[np.ndarray, np.ndarray]
     _unit, so that a column depends only on its own power."""
     x = np.repeat(x0[:, None], len(powers), axis=1)
     exponent = np.zeros(len(powers), dtype=int)
-    for bit, factor in enumerate(factors):
-        cols = np.flatnonzero(powers >> bit & 1)
-        if not cols.size:
-            continue
-        y = sum(entry[:, None] * row for entry, row in zip(factor.T, x[:, cols]))
+    has = powers >> np.arange(len(factors))[:, None] & 1
+    for bit in np.flatnonzero(has.any(axis=1)).tolist():
+        cols = np.nonzero(has[bit])[0]
+        y = sum(entry[:, None] * row for entry, row in zip(factors[bit].T, x[:, cols]))
         exponent[cols] -= _unit(y, axis=0)
         x[:, cols] = y
     return x, exponent
 
 
-def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(populations, odds) of n checks, every check evaluated from k = 0.
+def _zeno_checks(u: np.ndarray, psi: np.ndarray, bounds: list
+                 ) -> tuple[np.ndarray, Callable[[int, int], np.ndarray]]:
+    """(odds, populations): the odds of checks 1..n, all run here, and a function
+    that forms them again as the populations of rows start:stop, row 0 being
+    psi0 and row k the state after check k, of rows 0..n in blocks `bounds`.
 
     With the kept block K = U[:-1, :-1], the state before check k is
     U[:, :-1] K^(k-1) psi0: projecting and renormalizing only rescale it, and
@@ -306,7 +325,7 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np
     c = V^-1 psi0; when V is ill-conditioned (see EIGVEC_COND_MAX), it is the
     product of the squares K^(2^j) over the bits of k - 1 (_binary_products).
     """
-    kept = u[:-1, :-1]
+    kept, n = u[:-1, :-1], bounds[-1][1] - 1
     # Decompose K - I, not K: eig's eigenvectors err by about eps * norm / gap,
     # and the eigenvalues mu of K lie close together near 1, a gap only the
     # norm of K - I is on the scale of (at n = 4,000, K's own eigenvectors
@@ -338,30 +357,39 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int) -> tuple[np.ndarray, np
 
         def columns(powers):
             return _binary_products(squares, psi[:-1][reach], powers)[0]
-    populations = np.zeros((n + 1, len(psi)))
-    populations[0] = np.abs(psi) ** 2
-    odds = np.zeros(n + 1)
-    for start in range(1, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
+
+    def block(start, stop):  # the first check of rows start:stop, |a|^2 before each, kept sum
+        first = max(start, 1)
         # Sums over modes and over levels, elementwise and in a fixed order,
-        # so a check rounds alike in any block.
+        # so a check rounds alike in any block and when it is formed again.
         a = sum(col[:, None] * mode
-                for col, mode in zip(amps.T, columns(np.arange(start - 1, stop - 1))))
+                for col, mode in zip(amps.T, columns(np.arange(first - 1, stop - 1))))
         sq = a.real ** 2 + a.imag ** 2
-        kept_sq = sum(sq[:-1])
+        return first, sq, sum(sq[:-1])
+
+    odds = np.zeros(n + 1)
+    for start, stop in bounds:
+        first, sq, kept_sq = block(start, stop)
         with np.errstate(divide="ignore", invalid="ignore"):
-            block = np.divide(sq[-1], kept_sq, out=odds[start:stop])
-        # The check keeps 1/(1 + odds) of the probability: the squared norm
-        # of the projected state before it is renormalized.  nan odds: every
-        # amplitude underflowed, and no check can be formed from the state.
-        leaked = np.flatnonzero(~(block <= DEGENERATE_NORM**-2))
-        if leaked.size:
-            nrm = (1.0 + block[leaked[0]]) ** -0.5
-            raise DegenerateProjectionError(
-                f"certain leakage at step {start + leaked[0]}: projected norm {nrm:.3e}"
-            )
-        np.divide(sq[:-1], kept_sq, out=populations[start:stop, :-1].T)
-    return populations, odds
+            np.divide(sq[-1], kept_sq, out=odds[first:stop])
+    # The check keeps 1/(1 + odds) of the probability: the squared norm of the
+    # projected state before it is renormalized.  nan odds: every amplitude
+    # underflowed, and no check can be formed from the state.
+    leaked = np.flatnonzero(~(odds <= DEGENERATE_NORM**-2))
+    if leaked.size:
+        nrm = (1.0 + odds[leaked[0]]) ** -0.5
+        raise DegenerateProjectionError(
+            f"certain leakage at step {leaked[0]}: projected norm {nrm:.3e}")
+
+    def populations(start, stop):
+        first, sq, kept_sq = block(start, stop)
+        rows = np.zeros((stop - start, len(psi)))
+        if start == 0:
+            rows[0] = np.abs(psi) ** 2
+        np.divide(sq[:-1], kept_sq, out=rows[first - start:, :-1].T)
+        return rows
+
+    return odds, populations
 
 
 def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
@@ -385,9 +413,9 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     if abs(psi[-1]) > 1e-10:
         raise ValueError("psi0 must lie in the monitored (computational) subspace")
 
-    times = schedule.dt * np.arange(schedule.n + 1)
     u = mat_exp(hm, -1j * schedule.dt)
-    populations, odds = _zeno_checks(u, psi, schedule.n)
+    bounds = _partition(schedule.n + 1)
+    odds, populations = _zeno_checks(u, psi, bounds)
 
     # Each check keeps kept/(kept + top) of the probability, and
     # log1p(-leak) = -log1p(odds) with odds = top/kept stays exact for a leak
@@ -399,7 +427,9 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     np.negative(survival, out=survival)
     np.exp(survival, out=survival)
     np.minimum.accumulate(survival, out=survival)
-    return SimulationTrace(times=times, populations=populations, survival=survival)
+    return SimulationTrace._streamed(
+        len(psi), bounds, lambda start, stop: schedule.dt * np.arange(start, stop),
+        lambda start, stop: (populations(start, stop), survival[start:stop]), survival)
 
 
 def default_tunneling_steps(gamma: float, t_total: float) -> int:

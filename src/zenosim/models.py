@@ -146,10 +146,11 @@ def build_ghz_hamiltonian(omega_vecs, g: float, g_tilde: float) -> np.ndarray:
 
     # g/2 and g_tilde/2 summed as the sum of Pauli products sums them: same bits.
     xy, zz = 0.5 * g, 0.5 * g_tilde
-    zs = (1.0 - 2.0 * _register(2)).tolist()
+    d = 2
+    zs = (1.0 - 2.0 * _register(d)).tolist()
 
-    def flip(k, *qubits):  # the index of basis state k with these qubits flipped
-        return zs.index([-z if q in qubits else z for q, z in enumerate(zs[k])])
+    def flip(k, *qubits):  # basis state k with these qubits' levels n -> 1 - n
+        return k + sum(round(zs[k][q]) * d ** (2 - q) for q in qubits)  # z * place value
 
     h = np.zeros((len(zs),) * 2, dtype=complex)
     for k, z in enumerate(zs):

@@ -54,9 +54,9 @@ class ConfigError(ValueError):
 
 
 # The most rows one engine run of a scenario may build; a config above it is
-# rejected before any allocation.  A Zeno run holds 40 bytes per row at dim 3
-# plus one fixed block, 80 MB at the limit; a unitary or tunneling run written
-# by the CLI holds its times, 8 bytes per row, and one block at a time.
+# rejected before any allocation.  A Zeno run holds its survival, 8 bytes per
+# row, 16 MB at the limit; a unitary or tunneling run holds nothing per row.
+# A run written by the CLI forms one block of rows at a time.
 MAX_TRACE_ROWS = 2_000_000
 
 
@@ -371,7 +371,7 @@ def _fmt(x: float) -> str:
 
 
 # Rows formatted per kernel call when a trace is written; the kernel's working
-# set (about 2.9 MB, kept from block to block) does not grow with the trace.
+# set (about 1.9 MB, kept from block to block) does not grow with the trace.
 _BLOCK_ROWS = 1024
 
 
@@ -526,7 +526,8 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
     trace = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
     if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
-    return f"T={_fmt(cfg.t_total)} n_crit={len(trace.times) - 1} W={_fmt(trace.final_survival)}"
+    # The held survival of a Zeno trace has a row per check and one more.
+    return f"T={_fmt(cfg.t_total)} n_crit={len(trace.survival) - 1} W={_fmt(trace.final_survival)}"
 
 
 @dataclass(frozen=True)

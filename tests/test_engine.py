@@ -575,7 +575,11 @@ def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
     # an elementwise sum in a fixed order and meets no kernel.
     exact = run.startswith("zeno") or run in ("exceptional_point", "tunneling_powers")
     atol = 0.0 if exact else 8 * np.finfo(float).eps
-    for block in (1, 7):
+    # One-check blocks of binary powers cost ~290 us each, paid twice: once
+    # when the run forms its checks and once when its rows are read.  Blocks
+    # of 3 take the same kernel switch at a third of that; the one-row block
+    # stays covered by zeno, exceptional_point and tunneling_powers.
+    for block in ((3, 7) if run == "zeno_powers" else (1, 7)):
         set_block(block)
         trace = SAMPLE_BLOCK_RUNS[run]()
         np.testing.assert_allclose(trace.populations, whole.populations, rtol=0, atol=atol)
@@ -631,8 +635,23 @@ def test_zeno_holds_no_more_than_the_trace_it_returns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    kept = trace.times.nbytes + trace.populations.nbytes + trace.survival.nbytes
-    assert peak - kept <= 1e6
+    # The run holds its survival column, 8 bytes a row; its times and
+    # populations are formed when read.
+    assert peak <= trace.survival.nbytes + 0.5e6
+
+
+def test_zeno_w_at_t_forms_no_populations():
+    trace = run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
+                     ZenoSchedule(200_000, 5.0 / 200_000))
+    tracemalloc.start()
+    try:
+        w = trace.final_survival
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One block of populations alone would take 24 KB.
+    assert peak < 4096
+    assert w == trace.survival[-1]
 
 
 def test_tunneling_holds_no_more_than_the_trace_it_returns():
@@ -643,5 +662,36 @@ def test_tunneling_holds_no_more_than_the_trace_it_returns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The trace holds its times; populations and survival are formed when read.
-    assert peak - trace.times.nbytes <= 1e6
+    # Times, populations and survival are all formed when read: the run holds
+    # nothing per row, against 1.6 MB for its times alone.
+    assert peak < 0.1e6
+    assert len(trace.times) == 200_001
+
+
+@pytest.mark.parametrize("rows", [2, engine._BLOCK + 1, 200_001])
+def test_block_times_are_those_of_linspace(rows):
+    trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), 5.0,
+                        samples=rows)
+    expected = np.linspace(0.0, 5.0, rows)
+    assert np.array_equal(np.concatenate([t for t, _, _ in trace.blocks()]), expected)
+    assert np.array_equal(trace.times, expected)
+
+
+def test_block_times_of_a_subnormal_step_are_those_of_linspace():
+    # T / 3 rounds to 0: linspace divides by 3 first and scales by T after,
+    # where arange(4) * (T / 3) would give [0, 0, 0, 5e-324].
+    expected = np.linspace(0.0, 5e-324, 4)
+    assert expected.tolist() == [0.0, 0.0, 5e-324, 5e-324]
+    trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), 5e-324,
+                        samples=4)
+    assert np.array_equal(np.concatenate([t for t, _, _ in trace.blocks()]), expected)
+    assert np.array_equal(trace.times, expected)
+
+
+@pytest.mark.parametrize("n", [1, engine._BLOCK, 12_289])
+def test_zeno_times_are_the_multiples_of_dt(n):
+    schedule = ZenoSchedule(n, 5.0 / n)
+    trace = run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), schedule)
+    expected = schedule.dt * np.arange(n + 1)
+    assert np.array_equal(np.concatenate([t for t, _, _ in trace.blocks()]), expected)
+    assert np.array_equal(trace.times, expected)

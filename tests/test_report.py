@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zenosim import _g17, cli, report
+from zenosim import _g17, cli, engine, report
 from zenosim.engine import (
     SimulationTrace,
     ZenoSchedule,
@@ -20,7 +20,7 @@ from zenosim.engine import (
     run_unitary,
     run_zeno,
 )
-from zenosim.models import ModelSpec, build_three_level, build_tunneling
+from zenosim.models import ModelSpec, build_three_level, build_tunneling, build_two_level
 from zenosim.report import (
     ConfigError,
     MODES,
@@ -626,8 +626,16 @@ class TestTraceCsv:
 
 
 # Streamed traces: the eigenvector path (no-zeno), the eig path with a lone
-# last row (12,289 rows = 12 * 1,024 + 1) and the binary-powers fallback.
+# last row (12,289 rows = 12 * 1,024 + 1), the binary-powers fallback, and
+# Zeno rows formed again from their checks on both kernels (*_powers forces
+# the fallback).
 STREAMED_RUNS = {
+    "zeno": lambda: run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(),
+                             ZenoSchedule(4_100, 5.0 / 4_100)),
+    "zeno_powers": lambda: run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(),
+                                    ZenoSchedule(4_100, 5.0 / 4_100)),
+    "two_level_zeno": lambda: run_zeno(build_two_level(OMEGA), ground_state(2),
+                                       ZenoSchedule(2_049, 5.0 / 2_049)),
     "no_zeno": lambda: run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0,
                                    samples=10_001),
     "tunneling": lambda: run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
@@ -640,10 +648,12 @@ STREAMED_RUNS = {
 
 
 class TestStreamedTraceCsv:
-    """Unitary and tunneling traces are written from their blocks, not held."""
+    """Traces are written from their blocks, not held."""
 
     @pytest.mark.parametrize("run", sorted(STREAMED_RUNS))
-    def test_streamed_csv_equals_the_materialized_trace(self, run, tmp_path):
+    def test_streamed_csv_equals_the_materialized_trace(self, run, tmp_path, monkeypatch):
+        if run.endswith("_powers"):
+            monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
         trace = STREAMED_RUNS[run]()
         emit_trace_csv(trace, tmp_path / "streamed.csv")
         held = SimulationTrace(times=trace.times, populations=trace.populations,
@@ -654,9 +664,9 @@ class TestStreamedTraceCsv:
         assert streamed.count(b"\n") == len(trace.times) + 1
         assert trace.final_survival == held.final_survival == trace.survival[-1]
 
-    def test_a_long_tunneling_trace_is_written_holding_its_times_alone(self, tmp_path):
-        # 200,001 rows: 1.6 MB of times, against 8 MB of populations and
-        # survival, which the run and its emission never hold.
+    def test_a_long_tunneling_trace_is_written_holding_no_row(self, tmp_path):
+        # 200,001 rows: 1.6 MB of times and 8 MB of populations and survival,
+        # none of which the run and its emission hold whole.
         tracemalloc.start()
         try:
             trace = run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
@@ -665,7 +675,7 @@ class TestStreamedTraceCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < trace.times.nbytes + 4e6
+        assert peak < 2.5e6
 
 
 class TestTraceCsvKernel:
