@@ -41,7 +41,7 @@ _TAIL = b",.-0e+\0\x01"
 _EXP_KIND, _ZERO_KIND, _FALLBACK_KIND = 21, 25, 26
 # The longest cell, '-d.dddddddddddddddde-ddd', and its separator.
 _WIDTH = 25
-# Cells laid out per pass, a quarter of a 1,024-row trace block: 256 KB of index.
+# Cells laid out per pass, a quarter of a 1,024-row block of 5 columns: 256 KB of index.
 _PASS = 1280
 
 

@@ -128,10 +128,10 @@ class SimulationTrace:
     survival     running survival probability W at times[k]
     dim          number of levels, the width of populations
 
-    A trace holds only what a later row depends on, and forms its rows a
-    block at a time (_partition) when they are read: each column on first
-    access, then kept, and each block in blocks(), not kept.  A trace built
-    from the three arrays holds them as one block; a run_zeno trace holds its
+    A trace holds only what a later row depends on, and forms its rows in the
+    blocks of _partition when they are read: each column on first access, then
+    kept, and each block in blocks(), not kept.  A trace built from the three
+    arrays holds them, cut into those blocks; a run_zeno trace holds its
     survival, since each check's survival depends on every earlier one; a
     run_unitary or run_tunneling trace holds no row.  final_survival reads a
     held survival, or else the last block alone.  Every way gives the same bits.
@@ -139,7 +139,7 @@ class SimulationTrace:
 
     def __init__(self, times: np.ndarray, populations: np.ndarray, survival: np.ndarray):
         self.times, self.populations, self.survival = times, populations, survival
-        self.dim, self._bounds = populations.shape[1], [(0, len(times))]
+        self.dim, self._bounds = populations.shape[1], _partition(len(times))
         self._times = lambda start, stop: times[start:stop]
         self._rows = lambda start, stop: (populations[start:stop], survival[start:stop])
 
@@ -188,10 +188,10 @@ class SimulationTrace:
 
 
 def _partition(rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of _BLOCK rows from row 0.  numpy sends a
-    one-column product to gemv, not gemm, so a lone last row joins the block
-    before it."""
-    starts = range(0, rows - 1, _BLOCK)
+    """(start, stop) of the blocks every trace is formed and written in: _BLOCK
+    rows each from row 0, one block for 0 or 1 rows.  numpy sends a one-column
+    product to gemv, not gemm, so a lone last row joins the block before it."""
+    starts = range(0, max(rows - 1, 1), _BLOCK)
     return list(zip(starts, [*starts[1:], rows]))
 
 

@@ -53,9 +53,9 @@ def _check_exponent(w: np.ndarray, scale: float) -> None:
         raise ValueError(f"exponent {part:.6g} * {scale:.6g} >= 2**52 has no digit left")
 
 
-def _expm_scaling_squaring(b: np.ndarray, terms: int = 24) -> np.ndarray:
+def _expm_scaling_squaring(b: np.ndarray) -> np.ndarray:
     # Scale so the series argument has norm <= 0.5, Horner-evaluate the
-    # truncated exponential series, then square back up.
+    # exponential series to 24 terms, then square back up.
     norm = np.linalg.norm(b, np.inf)
     if not np.isfinite(norm):
         raise ValueError("norm of s*A is past the float range")
@@ -65,7 +65,7 @@ def _expm_scaling_squaring(b: np.ndarray, terms: int = 24) -> np.ndarray:
     c = b * 2.0**-k  # 2.0**k overflows for a norm above 2**1022
     eye = np.eye(b.shape[0], dtype=complex)
     out = eye.copy()
-    for j in range(terms, 0, -1):
+    for j in range(24, 0, -1):
         out = eye + (c @ out) / j
     for _ in range(k):
         out = out @ out

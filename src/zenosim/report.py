@@ -17,7 +17,7 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -198,7 +198,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("config must be a flat JSON object")
     if "mode" not in raw:
         raise ConfigError(f"missing required key 'mode'; one of {', '.join(MODES)}")
-    mode = raw["mode"]
+    mode = _coerce_str("mode", raw["mode"])
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; valid modes: {', '.join(MODES)}")
 
@@ -370,11 +370,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Rows formatted per kernel call when a trace is written; the kernel's working
-# set (about 1.9 MB, kept from block to block) does not grow with the trace.
-_BLOCK_ROWS = 1024
-
-
 def _write_csv(path, header: str, chunks: Iterable[str]) -> None:
     """Write `header`, a newline and then each text chunk to `path`.
 
@@ -430,29 +425,21 @@ def _is_file(target, st: os.stat_result) -> bool:
         return False
 
 
-def _format_blocks(blocks: Iterable[list[np.ndarray]]) -> Iterator[str]:
-    """Yield each block of equal-length float columns as CSV text, at most
-    `_BLOCK_ROWS` rows per kernel call on one workspace for all blocks, each
-    cell with the bytes `%.17g` gives it."""
-    # Imported here, so that only a run that writes a trace compiles it.
-    from ._g17 import format_block
-
-    work: dict = {}
-    for table in blocks:
-        for start in range(0, len(table[0]), _BLOCK_ROWS):
-            yield format_block(np.stack([col[start:start + _BLOCK_ROWS] for col in table],
-                                        axis=1, dtype=float), work)
-
-
 def emit_trace_csv(trace: SimulationTrace, path) -> None:
     """Write a trace as `t,p1,p2,p3,W` rows (LF newlines, 17 significant
     digits, no trailing blank line); two-level traces pad p3 with zero.
-    Rows are formed and written a block at a time (SimulationTrace.blocks)."""
+    Each block of SimulationTrace.blocks is formed and then written by one
+    kernel call, on one workspace that the kernel keeps from block to block, so
+    the working set (about 1.9 MB) does not grow with the trace."""
     if trace.dim > 3:
         raise ValueError(f"trace CSV holds at most three levels, got dim {trace.dim}")
-    pad = 3 - trace.dim
-    _write_csv(path, "t,p1,p2,p3,W", _format_blocks(
-        [t, *populations.T, *[np.broadcast_to(0.0, len(t))] * pad, survival]
+    # Imported here, so that only a run that writes a trace compiles it.
+    from ._g17 import format_block
+
+    pad, work = 3 - trace.dim, {}
+    _write_csv(path, "t,p1,p2,p3,W", (
+        format_block(np.stack([t, *populations.T, *[np.broadcast_to(0.0, len(t))] * pad,
+                               survival], axis=1, dtype=float), work)
         for t, populations, survival in trace.blocks()))
 
 

@@ -112,6 +112,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="three_level_zeno"):
             validate_config({"mode": "nope"})
 
+    # A list or dict is unhashable, so it is rejected before the mode table is read.
+    @pytest.mark.parametrize("mode", [["ghz"], {"ghz": 1}])
+    def test_non_string_mode_is_a_config_error(self, mode, tmp_path, capsys):
+        raw = {"mode": mode, "g": 0.02, "g_tilde": 0.005}
+        with pytest.raises(ConfigError, match="key 'mode' must be a string"):
+            validate_config(raw)
+        assert run_scenario(write_config(tmp_path, **raw)) == 1
+        assert capsys.readouterr() == (
+            "", f"config error: key 'mode' must be a string, got {mode!r}\n")
+
     def test_missing_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             validate_config({"omega": 0.05})
@@ -664,6 +674,37 @@ class TestStreamedTraceCsv:
         assert streamed.count(b"\n") == len(trace.times) + 1
         assert trace.final_survival == held.final_survival == trace.survival[-1]
 
+    @pytest.mark.parametrize("rows", [0, 1, 2, 1_025])
+    def test_a_held_trace_is_cut_as_a_run_is(self, rows, tmp_path):
+        table = np.random.default_rng(rows).standard_normal((rows, 5))
+        trace = SimulationTrace(times=table[:, 0], populations=table[:, 1:4],
+                                survival=table[:, 4])
+        # Each of these is one block; 1,025 rows keep their lone last row.
+        assert trace._bounds == engine._partition(rows) == [(0, rows)]
+        assert [len(t) for t, _, _ in trace.blocks()] == [rows]
+        emit_trace_csv(trace, tmp_path / "held.csv")
+        assert (tmp_path / "held.csv").read_text(encoding="utf-8") == (
+            "t,p1,p2,p3,W\n" + oracles.csv_17g(table))
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_each_kernel_call_formats_one_engine_block(self, held, tmp_path, monkeypatch):
+        # 12,289 rows end in a lone last row, which joins the block before it.
+        trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0,
+                            samples=3_000 if held else 12_289)
+        if held:
+            trace = SimulationTrace(times=trace.times, populations=trace.populations,
+                                    survival=trace.survival)
+        rows, format_block = [], _g17.format_block
+
+        def counted(block, work):
+            rows.append(len(block))
+            return format_block(block, work)
+
+        monkeypatch.setattr(_g17, "format_block", counted)
+        emit_trace_csv(trace, tmp_path / "trace.csv")
+        assert rows == [stop - start for start, stop in trace._bounds]
+        assert rows[-1] == (952 if held else 1_025)
+
     def test_a_long_tunneling_trace_is_written_holding_no_row(self, tmp_path):
         # 200,001 rows: 1.6 MB of times and 8 MB of populations and survival,
         # none of which the run and its emission hold whole.
@@ -685,7 +726,7 @@ class TestTraceCsvKernel:
     def assert_as_percent(values, cols=5):
         values = np.asarray(values, dtype=float).ravel()
         table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
-        text = "".join(report._format_blocks([list(table.T)]))
+        text = _g17.format_block(table, {})
         assert_same_lines(text, oracles.csv_17g(table))
         return text
 
@@ -776,14 +817,20 @@ class TestCsvWriter:
     def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
         out = tmp_path / "out.csv"
         out.write_bytes(b"earlier output\n")
+        calls, format_block = [], _g17.format_block
 
-        def one_block_then_fail(table):
-            yield "0,1,0,0,1\n"
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        def one_block_then_fail(block, work):
+            calls.append(len(block))
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return format_block(block, work)
 
-        monkeypatch.setattr(report, "_format_blocks", one_block_then_fail)
+        monkeypatch.setattr(_g17, "format_block", one_block_then_fail)
+        trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0,
+                            samples=3_000)
         with pytest.raises(OSError, match=r"failed writing .*out\.csv: .*No space"):
-            emit_trace_csv(self.small_trace(), out)
+            emit_trace_csv(trace, out)
+        assert calls == [1_024, 1_024]
         assert out.read_bytes() == b"earlier output\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
