@@ -31,8 +31,9 @@ Every run returns a SimulationTrace; its last survival entry is W at T.
 A trace has `samples` rows (run_unitary), n + 1 (run_zeno) or steps + 1
 (run_tunneling, steps defaulting to default_tunneling_steps): one row more
 than its intervals.  Every check that can raise runs before the runner
-returns, and the trace forms its rows a block at a time when they are read,
-holding only what a later row depends on (see SimulationTrace).  The CLI
+returns; the runner hands the trace its row count and one source of blocks,
+and the trace cuts itself and forms its rows a block at a time when they are
+read, holding only what a later row depends on (see SimulationTrace).  The CLI
 resolves every count into its config and passes it explicitly, so its row
 budget reads the counts a run will use.
 
@@ -42,7 +43,6 @@ runs may execute concurrently without coordination.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -128,63 +128,57 @@ class SimulationTrace:
     survival     running survival probability W at times[k]
     dim          number of levels, the width of populations
 
-    A trace holds only what a later row depends on, and forms its rows in the
-    blocks of _partition when they are read: each column on first access, then
-    kept, and each block in blocks(), not kept.  A trace built from the three
-    arrays holds them, cut into those blocks; a run_zeno trace holds its
-    survival, since each check's survival depends on every earlier one; a
-    run_unitary or run_tunneling trace holds no row.  final_survival reads a
-    held survival, or else the last block alone.  Every way gives the same bits.
+    A trace is `dim`, a row count and one source of blocks, block(start, stop)
+    = (times, populations, survival) of rows start:stop, read in the blocks of
+    _partition.  It holds only what a later row depends on: a trace built from
+    the three arrays holds them; a run_zeno trace holds its survival, since
+    each check's survival depends on every earlier one; a run_unitary or
+    run_tunneling trace holds no row.  The first read of a column not held
+    forms all three in one pass over blocks() and keeps each one not held;
+    blocks() keeps none.  final_survival reads a held survival, or else the
+    last block alone.  Every way gives the same bits.
     """
 
-    def __init__(self, times: np.ndarray, populations: np.ndarray, survival: np.ndarray):
+    _COLUMNS = ("times", "populations", "survival")
+
+    def __init__(self, times, populations, survival):
+        times, populations, survival = map(np.asarray, (times, populations, survival))
+        if populations.ndim != 2 or not times.shape == survival.shape == populations.shape[:1]:
+            raise ValueError("a trace needs 2-D populations and one length for all three columns")
+        self._of(populations.shape[1], len(times), lambda start, stop: (
+            times[start:stop], populations[start:stop], survival[start:stop]))
         self.times, self.populations, self.survival = times, populations, survival
-        self.dim, self._bounds = populations.shape[1], _partition(len(times))
-        self._times = lambda start, stop: times[start:stop]
-        self._rows = lambda start, stop: (populations[start:stop], survival[start:stop])
 
-    @classmethod
-    def _streamed(cls, dim: int, bounds: list, times: Callable, rows: Callable,
-                  survival: np.ndarray | None = None) -> SimulationTrace:
-        """A trace whose rows start:stop, for each (start, stop) of bounds, have
-        times(start, stop) and (populations, survival) rows(start, stop), and
-        which holds `survival` if it is given."""
-        trace = cls.__new__(cls)
-        trace.dim, trace._bounds, trace._times, trace._rows = dim, bounds, times, rows
-        if survival is not None:
-            trace.survival = survival
-        return trace
+    def _of(self, dim: int, rows: int, block: Callable) -> SimulationTrace:
+        """Make this the trace of `rows` rows of `dim` levels whose rows
+        start:stop are block(start, stop); return it."""
+        self.dim, self._bounds, self._block = dim, _partition(rows), block
+        return self
 
-    # A column formed or held is kept in the instance, where it hides the property.
-    @functools.cached_property
-    def times(self) -> np.ndarray:
-        return self._times(0, self._bounds[-1][1])
-
-    @functools.cached_property
-    def populations(self) -> np.ndarray:
-        populations = np.empty((self._bounds[-1][1], self.dim))
-        survival = np.empty(len(populations))
-        for start, stop in self._bounds:
-            populations[start:stop], survival[start:stop] = self._rows(start, stop)
-        vars(self).setdefault("survival", survival)
-        return populations
-
-    @functools.cached_property
-    def survival(self) -> np.ndarray:
-        self.populations  # forms both columns and keeps the survival
-        return vars(self)["survival"]
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Called only for a name the instance lacks: a column not held or formed yet.
+        if name not in self._COLUMNS:
+            raise AttributeError(f"'SimulationTrace' object has no attribute {name!r}")
+        rows = self._bounds[-1][1]
+        columns = np.empty(rows), np.empty((rows, self.dim)), np.empty(rows)
+        for (start, stop), block in zip(self._bounds, self.blocks()):
+            for column, part in zip(columns, block):
+                column[start:stop] = part
+        for key, column in zip(self._COLUMNS, columns):
+            vars(self).setdefault(key, column)
+        return vars(self)[name]
 
     @property
     def final_survival(self) -> float:
         """W at T, the last survival entry."""
         held = vars(self).get("survival")
-        return (self._rows(*self._bounds[-1])[1] if held is None else held)[-1]
+        return (self._block(*self._bounds[-1])[2] if held is None else held)[-1]
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (times, populations, survival) of consecutive rows, in order,
         each block formed anew and not kept."""
         for start, stop in self._bounds:
-            yield (self._times(start, stop), *self._rows(start, stop))
+            yield self._block(start, stop)
 
 
 def _partition(rows: int) -> list[tuple[int, int]]:
@@ -237,16 +231,6 @@ def _evolve(h, psi0, t_total: float, rows: int,
     Everything that can raise runs here; the trace forms its blocks when read.
     """
     step = t_total / (rows - 1)
-
-    def block_times(start, stop):
-        """Rows start:stop of np.linspace(0, T, rows), by its own arithmetic,
-        which divides first and scales after when the step rounds to 0."""
-        t = np.arange(start, stop, dtype=float)
-        t = t * step if step else t / (rows - 1) * t_total
-        if stop == rows:
-            t[-1] = t_total
-        return t
-
     hermitian = is_hermitian(h)
     w, vecs = np.linalg.eigh(h) if hermitian else np.linalg.eig(h)
     _check_exponent(w, t_total)
@@ -254,25 +238,31 @@ def _evolve(h, psi0, t_total: float, rows: int,
         # Squaring exp(-iH dt) up to these would compound its rounding.
         factors = [mat_exp(h, -1j * step * 2.0**b) for b in range((rows - 1).bit_length())]
 
-        def block_populations(start, stop):
-            x, exponent = _binary_products(factors, psi0, np.arange(start, stop))
+        def block_populations(k, t):
+            x, exponent = _binary_products(factors, psi0, k)
             return np.ldexp(np.abs(x.T) ** 2, 2 * exponent[:, None])
     else:
         coef = vecs.conj().T @ psi0 if hermitian else np.linalg.solve(vecs, psi0)
 
-        def block_populations(start, stop):
-            phases = np.outer(-1j * w, block_times(start, stop))
+        def block_populations(k, t):
+            phases = np.outer(-1j * w, t)
             np.exp(phases, out=phases)
             phases *= coef[:, None]
             return np.abs((vecs @ phases).T) ** 2
 
-    def block_rows(start, stop):
-        populations = block_populations(start, stop)
+    def block(start, stop):
+        # The times of np.linspace(0, T, rows), by its own arithmetic, which
+        # divides first and scales after when the step rounds to 0.
+        k = np.arange(start, stop)
+        t = k * step if step else k / (rows - 1) * t_total
+        if stop == rows:
+            t[-1] = t_total
+        populations = block_populations(k, t)
         if start == 0:
             populations[0] = np.abs(psi0) ** 2
-        return populations, survival(populations)
+        return t, populations, survival(populations)
 
-    return SimulationTrace._streamed(len(psi0), _partition(rows), block_times, block_rows)
+    return SimulationTrace.__new__(SimulationTrace)._of(len(psi0), rows, block)
 
 
 def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
@@ -312,11 +302,11 @@ def _binary_products(factors: list, x0, powers) -> tuple[np.ndarray, np.ndarray]
     return x, exponent
 
 
-def _zeno_checks(u: np.ndarray, psi: np.ndarray, bounds: list
+def _zeno_checks(u: np.ndarray, psi: np.ndarray, n: int
                  ) -> tuple[np.ndarray, Callable[[int, int], np.ndarray]]:
-    """(odds, populations): the odds of checks 1..n, all run here, and a function
-    that forms them again as the populations of rows start:stop, row 0 being
-    psi0 and row k the state after check k, of rows 0..n in blocks `bounds`.
+    """(odds, populations): the odds of checks 1..n, all run here in the blocks
+    of _partition, and a function that forms them again as the populations of
+    rows start:stop of rows 0..n, row 0 being psi0 and row k the state after check k.
 
     With the kept block K = U[:-1, :-1], the state before check k is
     U[:, :-1] K^(k-1) psi0: projecting and renormalizing only rescale it, and
@@ -325,7 +315,7 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, bounds: list
     c = V^-1 psi0; when V is ill-conditioned (see EIGVEC_COND_MAX), it is the
     product of the squares K^(2^j) over the bits of k - 1 (_binary_products).
     """
-    kept, n = u[:-1, :-1], bounds[-1][1] - 1
+    kept = u[:-1, :-1]
     # Decompose K - I, not K: eig's eigenvectors err by about eps * norm / gap,
     # and the eigenvalues mu of K lie close together near 1, a gap only the
     # norm of K - I is on the scale of (at n = 4,000, K's own eigenvectors
@@ -368,7 +358,7 @@ def _zeno_checks(u: np.ndarray, psi: np.ndarray, bounds: list
         return first, sq, sum(sq[:-1])
 
     odds = np.zeros(n + 1)
-    for start, stop in bounds:
+    for start, stop in _partition(n + 1):
         first, sq, kept_sq = block(start, stop)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(sq[-1], kept_sq, out=odds[first:stop])
@@ -414,8 +404,7 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
         raise ValueError("psi0 must lie in the monitored (computational) subspace")
 
     u = mat_exp(hm, -1j * schedule.dt)
-    bounds = _partition(schedule.n + 1)
-    odds, populations = _zeno_checks(u, psi, bounds)
+    odds, populations = _zeno_checks(u, psi, schedule.n)
 
     # Each check keeps kept/(kept + top) of the probability, and
     # log1p(-leak) = -log1p(odds) with odds = top/kept stays exact for a leak
@@ -427,9 +416,11 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     np.negative(survival, out=survival)
     np.exp(survival, out=survival)
     np.minimum.accumulate(survival, out=survival)
-    return SimulationTrace._streamed(
-        len(psi), bounds, lambda start, stop: schedule.dt * np.arange(start, stop),
-        lambda start, stop: (populations(start, stop), survival[start:stop]), survival)
+    trace = SimulationTrace.__new__(SimulationTrace)._of(
+        len(psi), schedule.n + 1, lambda start, stop: (
+            schedule.dt * np.arange(start, stop), populations(start, stop), survival[start:stop]))
+    trace.survival = survival
+    return trace
 
 
 def default_tunneling_steps(gamma: float, t_total: float) -> int:

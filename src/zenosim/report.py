@@ -26,6 +26,7 @@ from .engine import (
     PhysicsError,
     SimulationTrace,
     ZenoSchedule,
+    _check_count,
     default_tunneling_steps,
     run_tunneling,
     run_unitary,
@@ -310,8 +311,7 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SimulationTrace
     the comparison.  Linear scan from n = 2: the survival is not monotone at
     small n in general, so bisection would be unsound.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = _check_count("n_max", n_max)
     h = build_three_level(model.omega, model.phi, model.eta)
     psi0 = _ground_state(3)
     baseline = float(run_unitary(h, psi0, t_total, samples=2).final_survival)

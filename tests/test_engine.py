@@ -586,6 +586,36 @@ def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
         np.testing.assert_allclose(trace.survival, whole.survival, rtol=0, atol=atol)
 
 
+def _array_trace():
+    table = np.random.default_rng(7).standard_normal((3_000, 5))
+    return SimulationTrace(times=table[:, 0], populations=table[:, 1:4], survival=table[:, 4])
+
+
+COLUMN_RUNS = {**SAMPLE_BLOCK_RUNS, "arrays": _array_trace}
+
+
+@pytest.mark.parametrize("first", ["times", "populations", "survival"])
+@pytest.mark.parametrize("run", sorted(COLUMN_RUNS))
+def test_the_first_column_read_forms_and_keeps_all_three(run, first, monkeypatch):
+    if run.endswith("_powers"):
+        monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
+    trace = COLUMN_RUNS[run]()
+    names = ("times", "populations", "survival")
+    held = {name: vars(trace)[name] for name in names if name in vars(trace)}
+    assert list(held) == (list(names) if run == "arrays" else
+                          ["survival"] if run.startswith("zeno") else [])
+    joined = [np.concatenate(cols) for cols in zip(*trace.blocks())]
+    assert np.array_equal(getattr(trace, first), joined[names.index(first)])
+    # Reading a held column forms nothing; reading any other forms all three.
+    if first not in held:
+        assert set(names) <= set(vars(trace))
+    for name, column in zip(names, joined):
+        assert np.array_equal(getattr(trace, name), column)
+        if name in held:
+            assert vars(trace)[name] is held[name]
+    assert trace.final_survival.tobytes() == trace.survival[-1].tobytes()
+
+
 def test_a_trace_keeps_the_block_it_was_run_with(monkeypatch):
     # Blocks of 7 rows meet other gemm kernels and move thousands of this
     # run's rows by ulps (see above), so rows formed after the patch would show it.

@@ -435,8 +435,9 @@ class TestFindNCrit:
         assert find_n_crit(ModelSpec(omega=0.0925), 25.1875, 50) is None
 
     def test_rejects_bad_n_max(self):
-        with pytest.raises(ValueError):
-            find_n_crit(ModelSpec(omega=OMEGA), 5.0, 0)
+        for n_max in (0, 10.5, True):
+            with pytest.raises(ValueError, match="n_max must be"):
+                find_n_crit(ModelSpec(omega=OMEGA), 5.0, n_max)
 
 
 class TestSweep:
@@ -684,6 +685,24 @@ class TestStreamedTraceCsv:
         assert [len(t) for t, _, _ in trace.blocks()] == [rows]
         emit_trace_csv(trace, tmp_path / "held.csv")
         assert (tmp_path / "held.csv").read_text(encoding="utf-8") == (
+            "t,p1,p2,p3,W\n" + oracles.csv_17g(table))
+
+    @pytest.mark.parametrize("times, populations, survival", [
+        (np.zeros(3), np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros(3), np.zeros((3, 3)), np.zeros(2)),
+        (np.zeros(3), np.zeros(3), np.zeros(3)),
+        (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((3, 1))),
+    ])
+    def test_a_held_trace_checks_its_arrays(self, times, populations, survival):
+        with pytest.raises(ValueError, match="2-D populations and one length"):
+            SimulationTrace(times=times, populations=populations, survival=survival)
+
+    def test_a_held_trace_of_lists_writes_the_bytes_of_arrays(self, tmp_path):
+        table = np.random.default_rng(3).standard_normal((1_030, 5))
+        trace = SimulationTrace(times=table[:, 0].tolist(), populations=table[:, 1:4].tolist(),
+                                survival=table[:, 4].tolist())
+        emit_trace_csv(trace, tmp_path / "lists.csv")
+        assert (tmp_path / "lists.csv").read_text(encoding="utf-8") == (
             "t,p1,p2,p3,W\n" + oracles.csv_17g(table))
 
     @pytest.mark.parametrize("held", [False, True])
