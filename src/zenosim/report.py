@@ -3,9 +3,10 @@
 Configs are flat JSON objects with an explicit per-mode schema; unknown and
 misplaced keys are rejected up front so a typo in a physics parameter can
 never run silently.  Each mode is one entry of `_MODES`: the keys it
-accepts and requires, and the runner that emits its CSV and returns its
-summary.  All numeric output is printed with 17 significant digits, which
-round-trips float64 exactly and keeps regression diffs meaningful.
+accepts and requires, a check that may resolve derived values, and the
+runner that emits its CSV and returns its summary.  The coerced values fill
+`ScenarioConfig` by key name.  All numeric output has 17 significant digits,
+which round-trips float64 exactly and keeps regression diffs meaningful.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ MAX_TRACE_ROWS = 2_000_000
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: mode, physical parameters and output plan."""
+    """Validated scenario: the physics in `model`, each other attribute named after its key."""
 
     mode: str
     model: ModelSpec
@@ -72,7 +73,7 @@ class ScenarioConfig:
     n: int | None = None
     samples: int = DEFAULT_SAMPLES
     steps: int | None = None
-    output_path: str | None = None
+    out: str | None = None
     gamma: float | None = None
     axis: str | None = None
     axis_values: tuple[float, ...] | None = None
@@ -151,18 +152,16 @@ _SWEEP_AXIS_REQUIRED = {
 SWEEP_AXES = tuple(_SWEEP_AXIS_REQUIRED)
 
 
-def _resolve_schedule(values: dict) -> ZenoSchedule:
-    """Zeno modes take exactly one of dt and t_total; the other follows from n."""
-    has_dt = "dt" in values
-    has_t = "t_total" in values
-    if has_dt == has_t:
+def _resolve_schedule(values: dict) -> None:
+    """Zeno modes take exactly one of dt and t_total; resolve `schedule` and `t_total` from n."""
+    if ("dt" in values) == ("t_total" in values):
         raise ConfigError(f"mode {values['mode']!r} needs exactly one of 'dt' or 't_total'")
-    n = values["n"]
-    dt = values["dt"] if has_dt else values["t_total"] / n
+    dt = values["dt"] if "dt" in values else values["t_total"] / values["n"]
     try:
-        return ZenoSchedule(n=n, dt=dt)
+        schedule = ZenoSchedule(n=values["n"], dt=dt)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    values["schedule"], values["t_total"] = schedule, schedule.t_total
 
 
 def _check_ghz(values: dict) -> None:
@@ -247,9 +246,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
             f"mode {mode!r} would build {count} rows in one run; the limit is {MAX_TRACE_ROWS}"
         )
 
-    schedule = entry.check(values)
-    t_total = schedule.t_total if schedule is not None else values.get("t_total")
-    if t_total is not None and t_total <= 0:
+    entry.check(values)
+    if values.get("t_total", 1) <= 0:
         raise ConfigError("t_total must be positive")
 
     try:
@@ -259,20 +257,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    return ScenarioConfig(
-        mode=mode,
-        model=model,
-        schedule=schedule,
-        t_total=t_total,
-        n=values.get("n"),
-        samples=values.get("samples", DEFAULT_SAMPLES),
-        steps=values.get("steps"),
-        output_path=values.get("out"),
-        gamma=values.get("gamma"),
-        axis=values.get("axis"),
-        axis_values=values.get("axis_values"),
-        n_max=values.get("n_max"),
-    )
+    kept = {f.name: values[f.name] for f in fields(ScenarioConfig) if f.name in values}
+    return ScenarioConfig(model=model, **kept)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -460,8 +446,8 @@ def _emit_ghz_csv(psi: np.ndarray, path) -> None:
 
 
 def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace) -> str:
-    if cfg.output_path:
-        emit_trace_csv(trace, cfg.output_path)
+    if cfg.out:
+        emit_trace_csv(trace, cfg.out)
     return f"T={_fmt(cfg.t_total)} W={_fmt(trace.final_survival)}"
 
 
@@ -494,15 +480,15 @@ def _run_ghz(cfg: ScenarioConfig) -> str:
     model = cfg.model
     psi, diag = run_ghz_protocol(model.g, model.g_tilde)
     duration = entangling_time(model.g, model.g_tilde)
-    if cfg.output_path:
-        _emit_ghz_csv(psi, cfg.output_path)
+    if cfg.out:
+        _emit_ghz_csv(psi, cfg.out)
     return f"T={_fmt(duration)} W={_fmt(diag.fidelity)}"
 
 
 def _run_sweep(cfg: ScenarioConfig) -> str:
     result = sweep(cfg)
-    if cfg.output_path:
-        emit_sweep_csv(result, cfg.output_path)
+    if cfg.out:
+        emit_sweep_csv(result, cfg.out)
     w_zeno, w_no_zeno, w_tunnel = result.records[-1]
     w = next(x for x in (w_zeno, w_tunnel, w_no_zeno) if x is not None)
     t_part = f" T={_fmt(cfg.t_total)}" if cfg.t_total is not None else ""
@@ -522,13 +508,13 @@ class _Mode:
     """One mode: its one-line help, the keys it accepts besides `mode`, the keys
     it requires, the runner that writes its CSV (when `out` is set) and returns
     the summary after `mode=<name>`, and a check of the coerced values that
-    returns the schedule a Zeno mode runs on."""
+    may resolve derived values into them (a Zeno mode's schedule)."""
 
     help: str
     keys: set[str]
     required: set[str]
     run: Callable[[ScenarioConfig], str]
-    check: Callable[[dict], ZenoSchedule | None] = lambda values: None
+    check: Callable[[dict], None] = lambda values: None
 
 
 _MODES = {

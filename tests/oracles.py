@@ -194,6 +194,23 @@ TUNNELING_DEFICIT_40 = {
     (0.05, 200.0): "1.025467511007946089322700944046920391045e-5",
     (0.05, 400.0): "5.135479549564841685691634606689823572984e-6",
 }
+# n checks against continuous tunneling at the rate gamma = 4n/T of Schulman's
+# correspondence (PRA 57, 1509, 1998), at omega = 0.05: (Zeno, tunneling)
+# deficits keyed by n, from the two functions above by:
+#
+#     for n in (10, 100, 1000, 10000):
+#         print(mp.nstr(zeno_deficit(0.05, -0.2, 5.0, n), 40),
+#               mp.nstr(tunneling_deficit(0.05, -0.2, 4 * n / 5.0, 5.0), 40))
+SCHULMAN_DEFICITS_40 = {
+    10: ("0.0002552368687074283708603507894309869214164",
+         "0.0002366655168316128769710645929910368147863"),
+    100: ("0.00002570529636884213008377685139604308738334",
+          "0.00002551438252091108893940788157517325230121"),
+    1000: ("0.00000257168654707110389847406178764562372171",
+           "0.000002569774118399613069003936847707851794841"),
+    10000: ("0.0000002571795628509962854321765856292858835084",
+            "0.0000002571604354681297980552013486837407227974"),
+}
 # Continuous tunneling at an exceptional point of H, where two eigenvectors
 # merge: omega = 0.05, eta/omega ~ -0.590, gamma/omega ~ 4.404, T = 5 ns.
 EXCEPTIONAL_POINT = {"omega": 0.05, "eta": -0.02949899198927462,

