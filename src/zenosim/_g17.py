@@ -41,8 +41,8 @@ _TAIL = b",.-0e+\0\x01"
 _EXP_KIND, _ZERO_KIND, _FALLBACK_KIND = 21, 25, 26
 # The longest cell, '-d.dddddddddddddddde-ddd', and its separator.
 _WIDTH = 25
-# Cells laid out per pass, a quarter of a 1,024-row block of 5 columns: 256 KB of index.
-_PASS = 1280
+# Cells laid out per pass, an eighth of a 1,024-row block of 5 columns: 128 KB of index.
+_PASS = 640
 
 
 def _halves(v):
@@ -131,53 +131,71 @@ def _kept(work: dict, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
+def _digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k, D and whether a layout row can write the cell, for each cell of x
+    (D is 10**16 where one cannot).  Buffers are reused in place and dropped
+    after their last read, so at most eight 8-byte arrays the size of x are
+    alive at once."""
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a <= 1e280)
+    a[~ok] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k -= _K_MIN
+
+    # |x| * 10**(16 - k) = top + whole + frac, with top and whole integers.
+    hi_high, hi_low, lo = _SCALES.table(k).T
+    a_high, a_low = _halves(a)
+    hi_high, hi_low = hi_high.take(k), hi_low.take(k)
+    top = a * (hi_high + hi_low)
+    rest = np.multiply(a_high, hi_high)
+    rest -= top
+    rest += np.multiply(a_high, hi_low, out=a_high)
+    rest += np.multiply(a_low, hi_high, out=hi_high)
+    rest += np.multiply(a_low, hi_low, out=a_low)
+    rest += np.multiply(a, lo.take(k, out=hi_low, mode="clip"), out=a)
+    del a, a_high, a_low, hi_low
+    whole = np.rint(rest, out=hi_high)
+    frac = np.subtract(rest, whole, out=rest)
+    d = top.astype(np.int64) + whole.astype(np.int64)
+    ok &= (np.abs(np.abs(frac) - 0.5) > _TIE) & (d < 10 ** 17)
+    ok &= (d > 10 ** 16) | ((d == 10 ** 16) & (frac >= 0))
+    d[~ok] = 10 ** 16
+    return k + _K_MIN, d, ok
+
+
 def format_block(block: np.ndarray, work: dict) -> str:
     """CSV text of a 2-D float block, each cell as `%.17g` writes it; `work`
     keeps block-sized buffers for the next call, so none is mapped afresh."""
     rows, cols = block.shape
     x = block.ravel()
-    a = np.abs(x)
-    ok = (a >= 1e-280) & (a <= 1e280)
-    a = np.where(ok, a, 1.0)
-    k = np.floor(np.log10(a)).astype(np.intp)
+    k, d, ok = _digits(x)
 
-    # |x| * 10**(16 - k) = top + whole + frac, with top and whole integers.
-    hi_high, hi_low, lo = _SCALES.table(k - _K_MIN).take(k - _K_MIN, axis=0).T
-    a_high, a_low = _halves(a)
-    top = a * (hi_high + hi_low)
-    rest = ((a_high * hi_high - top) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
-    rest += a * lo
-    whole = np.rint(rest)
-    frac = rest - whole
-    d = top.astype(np.int64) + whole.astype(np.int64)
-    ok &= (np.abs(np.abs(frac) - 0.5) > _TIE) & (d < 10 ** 17)
-    ok &= (d > 10 ** 16) | ((d == 10 ** 16) & (frac >= 0))
-
-    # D in base 100: its first digit, then eight pairs, four from each of its
-    # halves of 9 and 8 digits; then |k| in base 100.
-    d = np.where(ok, d, 10 ** 16)
-    first9 = d // 10 ** 8
-    halves = np.stack([first9, d - first9 * 10 ** 8]).astype(np.int32)
-    pairs = _kept(work, "pairs", (11, x.size), np.int32)
-    for i in range(3, -1, -1):
-        q = halves // 100
-        pairs[1:9].reshape(2, 4, -1)[:, i] = halves - q * 100
-        halves = q
-    pairs[0] = halves[0]
-    pairs[9], pairs[10] = np.divmod(np.abs(k), 100)
+    # D in base 100, its last pair first and its first digit last, then |k|
+    # in base 100.  Each row goes through the pair tables as it is made, so
+    # no index array is widened whole; `last` ends as the index in D of its
+    # last nonzero digit.
     words, lasts = _digit_pairs()
     src = _kept(work, "src", (x.size, 16), np.uint16)
-    src[:, 1:12] = words.take(pairs).T
+    last = np.zeros(x.size, np.int8)
+    for i in range(8, 0, -1):
+        q = d // 100
+        d -= 100 * q
+        src[:, 1 + i] = words.take(d)
+        np.maximum(last, lasts[i - 1].take(d), out=last)
+        d = q
+    src[:, 1] = words.take(d)
+    src[:, 10:12] = words.take(np.divmod(np.abs(k), 100)).T
     tail = np.empty((cols, 4), np.uint16)
     tail[:] = np.frombuffer(_TAIL, np.uint16)
     tail.view(np.uint8)[-1, 0] = ord("\n")
     src.reshape(rows, cols, 16)[:, :, 12:] = tail
-    last = lasts.take(pairs[1:9] + 100 * np.arange(8)[:, None]).max(axis=0)
 
     zero = x == 0
     kind = np.where((k >= -4) & (k < 17), k + 4, _EXP_KIND + 2 * (k > 0) + (np.abs(k) >= 100))
     kind = np.where(ok, kind, np.where(zero, _ZERO_KIND, _FALLBACK_KIND))
+    fallback = np.flatnonzero(kind == _FALLBACK_KIND)
     key = (kind * 17 + np.where(ok, last, 0)) * 2 + (np.signbit(x) & (ok | zero))
+    del k, ok, last, zero, kind
     # Layout, byte gather and NUL compaction, _PASS cells at a time.  A layout
     # key is below 34 * 27 and an index below 32 * cells (a layout's source
     # bytes are 0-31), so "clip" and "wrap" move none; in the default mode
@@ -192,12 +210,10 @@ def format_block(block: np.ndarray, work: dict) -> str:
         out = data[32 * start:].take(index, out=_kept(work, "out", index.shape, np.uint8),
                                      mode="wrap")
         mask = np.not_equal(out, 0, out=_kept(work, "mask", out.shape, bool))
-        pieces.append(out[mask].tobytes())
-    text = b"".join(pieces).decode("ascii")
-    fallback = np.flatnonzero(kind == _FALLBACK_KIND)
+        pieces.append(out[mask].tobytes().decode("ascii"))
+    text = "".join(pieces)
     if not fallback.size:
         return text
     parts = text.split("\x01")
     cells = [_fallback(v) for v in x[fallback].tolist()]
     return parts[0] + "".join(cell + part for cell, part in zip(cells, parts[1:]))
-

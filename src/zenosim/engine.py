@@ -127,6 +127,7 @@ class SimulationTrace:
     populations  row k holds (p_1, ..., p_dim) at times[k]
     survival     running survival probability W at times[k]
     dim          number of levels, the width of populations
+    rows         number of rows, read without forming a column
 
     A trace is `dim`, a row count and one source of blocks, block(start, stop)
     = (times, populations, survival) of rows start:stop, read in the blocks of
@@ -159,7 +160,7 @@ class SimulationTrace:
         # Called only for a name the instance lacks: a column not held or formed yet.
         if name not in self._COLUMNS:
             raise AttributeError(f"'SimulationTrace' object has no attribute {name!r}")
-        rows = self._bounds[-1][1]
+        rows = self.rows
         columns = np.empty(rows), np.empty((rows, self.dim)), np.empty(rows)
         for (start, stop), block in zip(self._bounds, self.blocks()):
             for column, part in zip(columns, block):
@@ -167,6 +168,11 @@ class SimulationTrace:
         for key, column in zip(self._COLUMNS, columns):
             vars(self).setdefault(key, column)
         return vars(self)[name]
+
+    @property
+    def rows(self) -> int:
+        """The row count: the last stop of the block partition."""
+        return self._bounds[-1][1]
 
     @property
     def final_survival(self) -> float:

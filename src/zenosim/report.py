@@ -416,7 +416,7 @@ def emit_trace_csv(trace: SimulationTrace, path) -> None:
     digits, no trailing blank line); two-level traces pad p3 with zero.
     Each block of SimulationTrace.blocks is formed and then written by one
     kernel call, on one workspace that the kernel keeps from block to block, so
-    the working set (about 1.9 MB) does not grow with the trace."""
+    the working set (about 0.75 MB) does not grow with the trace."""
     if trace.dim > 3:
         raise ValueError(f"trace CSV holds at most three levels, got dim {trace.dim}")
     # Imported here, so that only a run that writes a trace compiles it.
@@ -499,8 +499,8 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
     trace = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
     if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
-    # The held survival of a Zeno trace has a row per check and one more.
-    return f"T={_fmt(cfg.t_total)} n_crit={len(trace.survival) - 1} W={_fmt(trace.final_survival)}"
+    # A Zeno trace has a row per check and one more.
+    return f"T={_fmt(cfg.t_total)} n_crit={trace.rows - 1} W={_fmt(trace.final_survival)}"
 
 
 @dataclass(frozen=True)

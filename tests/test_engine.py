@@ -616,6 +616,20 @@ def test_the_first_column_read_forms_and_keeps_all_three(run, first, monkeypatch
     assert trace.final_survival.tobytes() == trace.survival[-1].tobytes()
 
 
+@pytest.mark.parametrize("run", sorted(COLUMN_RUNS))
+def test_the_row_count_forms_no_column(run, monkeypatch):
+    if run.endswith("_powers"):
+        monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
+    trace = COLUMN_RUNS[run]()
+    held = set(vars(trace))
+    rows = trace.rows
+    assert set(vars(trace)) == held
+    assert rows == sum(len(t) for t, _, _ in trace.blocks())
+    assert rows == len(trace.times) == len(trace.populations) == len(trace.survival)
+    with pytest.raises(AttributeError):
+        trace.rows = rows + 1
+
+
 def test_a_trace_keeps_the_block_it_was_run_with(monkeypatch):
     # Blocks of 7 rows meet other gemm kernels and move thousands of this
     # run's rows by ulps (see above), so rows formed after the patch would show it.

@@ -772,6 +772,19 @@ class TestStreamedTraceCsv:
             tracemalloc.stop()
         assert peak < 2.5e6
 
+    def test_a_long_tunneling_trace_is_written_in_1_2_mb(self, tmp_path):
+        # The kernel's stages drop their temporaries before the next one
+        # starts, so the run and its emission peak near one block's working set.
+        tracemalloc.start()
+        try:
+            trace = run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
+                                  steps=200_000)
+            emit_trace_csv(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
+
 
 class TestTraceCsvKernel:
     """Trace CSVs hold the bytes `%.17g` writes, cell for cell."""
@@ -842,6 +855,21 @@ class TestTraceCsvKernel:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_one_block_peaks_under_a_megabyte(self):
+        # A first call on a fresh workspace: its kept buffers count in the peak.
+        trace = run_tunneling(build_tunneling(OMEGA, ETA, 400.0), ground_state(), 5.0,
+                              steps=200_000)
+        times, populations, survival = next(trace.blocks())
+        block = np.column_stack([times, populations, survival])
+        assert block.shape == (1_024, 5)
+        tracemalloc.start()
+        try:
+            _g17.format_block(block, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
 
     def test_import_builds_no_table(self):
         # Only a run that writes a trace imports the kernel, and the import
