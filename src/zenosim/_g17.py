@@ -1,5 +1,8 @@
 """Trace CSV text of float blocks, each cell with the bytes `%.17g` gives it.
 
+Only a trace of more than one engine block imports this module; a one-block
+trace is written row by row with `%.17g` (report.emit_trace_csv).
+
 The kernel formats a whole block at once.  A cell x with 1e-280 <= |x| <=
 1e280 has k = floor(log10|x|) and the 17 digits D = round-half-even(|x| *
 10**(16 - k)), 10**16 <= D < 10**17.  The power of ten is split into hi + lo

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -795,6 +796,18 @@ class TestTraceCsvKernel:
         table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
         text = _g17.format_block(table, {})
         assert_same_lines(text, oracles.csv_17g(table))
+        # The same cells through emit_trace_csv, as one-block traces of five columns.
+        rows = np.concatenate([values, np.zeros(-len(values) % 5)]).reshape(-1, 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.csv")
+            for start in range(0, len(rows), engine._BLOCK + 1):
+                part = rows[start:start + engine._BLOCK + 1]
+                trace = SimulationTrace(times=part[:, 0], populations=part[:, 1:4],
+                                        survival=part[:, 4])
+                assert len(trace._bounds) == 1
+                emit_trace_csv(trace, path)
+                with open(path, encoding="utf-8") as fh:
+                    assert_same_lines(fh.read(), "t,p1,p2,p3,W\n" + oracles.csv_17g(part))
         return text
 
     def test_random_bit_patterns(self):
@@ -881,6 +894,27 @@ class TestTraceCsvKernel:
                  "assert g._digit_pairs.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
                        env=dict(os.environ, PYTHONPATH=src))
+
+    @pytest.mark.parametrize("samples, blocks", [(1_025, 1), (1_026, 2)])
+    def test_only_a_trace_of_more_than_one_block_imports_the_kernel(self, samples, blocks,
+                                                                     tmp_path):
+        # 1,025 rows are one engine block, a lone last row joining the one
+        # before it; 1,026 rows are two.  Both write the kernel's bytes.
+        src = os.path.dirname(os.path.dirname(report.__file__))
+        out = tmp_path / "trace.csv"
+        probe = ("import sys; from zenosim.report import run_scenario; "
+                 f"status = run_scenario(mode='no_zeno', overrides={{'omega': {OMEGA!r}, "
+                 f"'t_total': 5.0, 'samples': {samples}, 'out': {str(out)!r}}}); "
+                 "print(status, 'zenosim._g17' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
+                                capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert result.stdout.splitlines()[-1] == f"0 {blocks > 1}"
+        trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0,
+                            samples=samples)
+        assert len(trace._bounds) == blocks
+        assert out.read_bytes() == b"t,p1,p2,p3,W\n" + "".join(
+            _g17.format_block(np.column_stack(block), {}) for block in trace.blocks()).encode()
 
 
 class TestCsvWriter:
