@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "linalg": ("mat_exp", "apply", "kron", "is_hermitian"),
-    "models": ("ModelSpec", "build_two_level", "build_three_level", "build_tunneling",
+    "models": ("build_two_level", "build_three_level", "build_tunneling",
                "build_ghz_hamiltonian"),
     "engine": ("ZenoSchedule", "SimulationTrace", "PhysicsError", "DegenerateProjectionError",
                "two_level_survival_closed_form", "run_unitary", "run_zeno", "run_tunneling",

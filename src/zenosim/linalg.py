@@ -36,10 +36,10 @@ def _as_vector(psi, name: str = "state") -> np.ndarray:
     return v
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
-    """True if A equals its conjugate transpose entrywise within tol."""
+def is_hermitian(a) -> bool:
+    """True if A equals its conjugate transpose entrywise within HERMITIAN_TOL."""
     m = np.asarray(a, dtype=complex)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL)
 
 
 def _check_exponent(w: np.ndarray, scale: float) -> None:

@@ -14,7 +14,6 @@ Conventions, fixed here once for the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "DEFAULT_PHI",
     "SIGMA_X",
     "SIGMA_Y",
-    "ModelSpec",
     "build_two_level",
     "build_three_level",
     "build_tunneling",
@@ -51,38 +49,6 @@ def _require_finite(**params: float) -> None:
     for name, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Validated physical parameter record (rad/ns throughout).
-
-    omega    Rabi drive strength (>= 0)
-    phi      drive phase
-    eta      anharmonicity of the 2->3 transition (negative for real qubits)
-    gamma    tunneling rate of the top level (>= 0)
-    v        two-level coupling of the toy model
-    g        transverse (XY) qubit-qubit coupling
-    g_tilde  longitudinal (ZZ) qubit-qubit coupling
-    """
-
-    omega: float = 0.0
-    phi: float = DEFAULT_PHI
-    eta: float = DEFAULT_ETA
-    gamma: float = 0.0
-    v: float = 0.0
-    g: float = 0.0
-    g_tilde: float = 0.0
-
-    def __post_init__(self) -> None:
-        _require_finite(
-            omega=self.omega, phi=self.phi, eta=self.eta, gamma=self.gamma,
-            v=self.v, g=self.g, g_tilde=self.g_tilde,
-        )
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
 def build_two_level(v: float) -> np.ndarray:

@@ -34,7 +34,9 @@ from .engine import (
     run_zeno,
 )
 from .ghz import entangling_time, run_ghz_protocol
-from .models import ModelSpec, _register, build_three_level, build_tunneling, build_two_level
+from .models import (
+    DEFAULT_ETA, DEFAULT_PHI, _register, build_three_level, build_tunneling, build_two_level,
+)
 
 __all__ = [
     "ConfigError",
@@ -64,17 +66,23 @@ MAX_TRACE_ROWS = 2_000_000
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario: the physics in `model`, each other attribute named after its key."""
+    """Validated scenario: each attribute is named after its key (rates in rad/ns),
+    and `schedule` is a Zeno mode's resolved (n, dt)."""
 
     mode: str
-    model: ModelSpec
     schedule: ZenoSchedule | None = None
     t_total: float | None = None
     n: int | None = None
     samples: int = DEFAULT_SAMPLES
     steps: int | None = None
     out: str | None = None
+    omega: float = 0.0
+    phi: float = DEFAULT_PHI
+    eta: float = DEFAULT_ETA
     gamma: float | None = None
+    v: float = 0.0
+    g: float = 0.0
+    g_tilde: float = 0.0
     axis: str | None = None
     axis_values: tuple[float, ...] | None = None
     n_max: int | None = None
@@ -156,6 +164,8 @@ def _resolve_schedule(values: dict) -> None:
     """Zeno modes take exactly one of dt and t_total; resolve `schedule` and `t_total` from n."""
     if ("dt" in values) == ("t_total" in values):
         raise ConfigError(f"mode {values['mode']!r} needs exactly one of 'dt' or 't_total'")
+    if values.get("t_total", 1) <= 0:  # named before the dt it would give
+        raise ConfigError("t_total must be positive")
     dt = values["dt"] if "dt" in values else values["t_total"] / values["n"]
     try:
         schedule = ZenoSchedule(n=values["n"], dt=dt)
@@ -249,16 +259,12 @@ def validate_config(raw: dict) -> ScenarioConfig:
     entry.check(values)
     if values.get("t_total", 1) <= 0:
         raise ConfigError("t_total must be positive")
+    for key in ("omega", "gamma"):
+        if values.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {values[key]}")
 
-    try:
-        # Physical keys are named as ModelSpec fields; absent ones take its defaults.
-        physics = {f.name: values[f.name] for f in fields(ModelSpec) if f.name in values}
-        model = ModelSpec(**physics)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    kept = {f.name: values[f.name] for f in fields(ScenarioConfig) if f.name in values}
-    return ScenarioConfig(model=model, **kept)
+    return ScenarioConfig(**{f.name: values[f.name] for f in fields(ScenarioConfig)
+                             if f.name in values})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -286,11 +292,11 @@ def _ground_state(dim: int) -> np.ndarray:
     return psi
 
 
-def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SimulationTrace | None:
-    """Zeno trace of the smallest measurement count n >= 2 whose survival
-    matches or beats the unmeasured single-shot survival at the same total
-    time (n is its row count less one); None if no n <= n_max qualifies
-    (always when n_max = 1).
+def find_n_crit(h, psi0, t_total: float, n_max: int) -> SimulationTrace | None:
+    """Zeno trace, from `psi0` under `h`, of the smallest measurement count
+    n >= 2 whose survival matches or beats the unmeasured single-shot survival
+    at the same total time (n is its row count less one); None if no
+    n <= n_max qualifies (always when n_max = 1).
 
     n = 1 is left out: one check at T is the unmeasured run read out at T, so
     its survival equals the baseline exactly and only rounding would decide
@@ -298,8 +304,6 @@ def find_n_crit(model: ModelSpec, t_total: float, n_max: int) -> SimulationTrace
     small n in general, so bisection would be unsound.
     """
     n_max = _check_count("n_max", n_max)
-    h = build_three_level(model.omega, model.phi, model.eta)
-    psi0 = _ground_state(3)
     baseline = float(run_unitary(h, psi0, t_total, samples=2).final_survival)
     for n in range(2, n_max + 1):
         trace = run_zeno(h, psi0, ZenoSchedule(n=n, dt=t_total / n))
@@ -318,7 +322,6 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     """
     if cfg.mode != "sweep":
         raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r}")
-    model = cfg.model
     psi0 = _ground_state(3)
 
     # Each variant is cached on the values it depends on: w_zeno on
@@ -326,22 +329,22 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     # so grid points that share those values share one run.
     @functools.cache
     def w_zeno(omega: float, n: int, dt: float) -> float:
-        h = build_three_level(omega, model.phi, model.eta)
+        h = build_three_level(omega, cfg.phi, cfg.eta)
         return float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).final_survival)
 
     @functools.cache
     def w_no_zeno(omega: float, t_total: float) -> float:
-        h = build_three_level(omega, model.phi, model.eta)
+        h = build_three_level(omega, cfg.phi, cfg.eta)
         return float(run_unitary(h, psi0, t_total, samples=2).final_survival)
 
     @functools.cache
     def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
-        h = build_tunneling(omega, model.eta, gamma)
+        h = build_tunneling(omega, cfg.eta, gamma)
         return float(run_tunneling(h, psi0, t_total, steps=1).final_survival)
 
     records = []
     for value in cfg.axis_values:
-        omega = value if cfg.axis == "omega" else model.omega
+        omega = value if cfg.axis == "omega" else cfg.omega
         gamma = value if cfg.axis == "gamma" else cfg.gamma
         n = int(value) if cfg.axis == "n" else cfg.n
         t_total = n * value if cfg.axis == "dt" else cfg.t_total
@@ -466,32 +469,28 @@ def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace) -> str:
 # Runners look the engine, builders and emitters up by module-level name at
 # call time, so a caller may wrap those names (as a tracer does).
 def _run_two_level_zeno(cfg: ScenarioConfig) -> str:
-    h = build_two_level(cfg.model.v)
+    h = build_two_level(cfg.v)
     return _emit_trace(cfg, run_zeno(h, _ground_state(2), cfg.schedule))
 
 
 def _run_three_level_zeno(cfg: ScenarioConfig) -> str:
-    model = cfg.model
-    h = build_three_level(model.omega, model.phi, model.eta)
+    h = build_three_level(cfg.omega, cfg.phi, cfg.eta)
     return _emit_trace(cfg, run_zeno(h, _ground_state(3), cfg.schedule))
 
 
 def _run_no_zeno(cfg: ScenarioConfig) -> str:
-    model = cfg.model
-    h = build_three_level(model.omega, model.phi, model.eta)
+    h = build_three_level(cfg.omega, cfg.phi, cfg.eta)
     return _emit_trace(cfg, run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples))
 
 
 def _run_tunneling(cfg: ScenarioConfig) -> str:
-    model = cfg.model
-    h = build_tunneling(model.omega, model.eta, model.gamma)
+    h = build_tunneling(cfg.omega, cfg.eta, cfg.gamma)
     return _emit_trace(cfg, run_tunneling(h, _ground_state(3), cfg.t_total, steps=cfg.steps))
 
 
 def _run_ghz(cfg: ScenarioConfig) -> str:
-    model = cfg.model
-    psi, diag = run_ghz_protocol(model.g, model.g_tilde)
-    duration = entangling_time(model.g, model.g_tilde)
+    psi, diag = run_ghz_protocol(cfg.g, cfg.g_tilde)
+    duration = entangling_time(cfg.g, cfg.g_tilde)
     if cfg.out:
         _emit_ghz_csv(psi, cfg.out)
     return f"T={_fmt(duration)} W={_fmt(diag.fidelity)}"
@@ -508,7 +507,8 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 
 
 def _run_ncrit(cfg: ScenarioConfig) -> str:
-    trace = find_n_crit(cfg.model, cfg.t_total, cfg.n_max)
+    h = build_three_level(cfg.omega, cfg.phi, cfg.eta)
+    trace = find_n_crit(h, _ground_state(3), cfg.t_total, cfg.n_max)
     if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
     # A Zeno trace has a row per check and one more.

@@ -52,6 +52,12 @@ def test_export_is_its_defining_modules_object(name):
     assert vars(zenosim)[name] is value  # resolved once, then a plain global
 
 
+@pytest.mark.parametrize("module", sorted(zenosim._EXPORTS))
+def test_exports_are_in_their_modules_all(module):
+    names = importlib.import_module(f"zenosim.{module}").__all__
+    assert [n for n in zenosim._EXPORTS[module] if n not in names] == []
+
+
 def test_dir_covers_all():
     assert set(zenosim.__all__) <= set(dir(zenosim))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import json
 import math
@@ -22,7 +21,7 @@ from zenosim.engine import (
     run_unitary,
     run_zeno,
 )
-from zenosim.models import ModelSpec, build_three_level, build_tunneling, build_two_level
+from zenosim.models import build_three_level, build_tunneling, build_two_level
 from zenosim.report import (
     ConfigError,
     MODES,
@@ -72,7 +71,7 @@ class TestConfigValidation:
         )
         assert cfg.schedule == ZenoSchedule(50, 0.1)
         assert cfg.t_total == pytest.approx(5.0)
-        assert cfg.model.eta == -0.2
+        assert (cfg.eta, cfg.phi) == (-0.2, -math.pi / 2)
 
     # `seed` was accepted and never read; it is now an unknown key like any typo
     @pytest.mark.parametrize("key", ["omega_typo", "seed"])
@@ -161,6 +160,8 @@ class TestConfigValidation:
                               "omega": 0.05, "n": 50}, "dt grid values must be positive"),
         "one_sample": ({"mode": "no_zeno", "omega": 0.05, "t_total": 5.0, "samples": 1},
                        "samples must be >= 2"),
+        "nan_eta": ({"mode": "no_zeno", "omega": 0.05, "eta": math.nan, "t_total": 5.0},
+                    "key 'eta' must be finite, got nan"),
         "list": ([], "config must be a flat JSON object"),
     }
 
@@ -180,6 +181,51 @@ class TestConfigValidation:
             validate_config(
                 {"mode": "three_level_zeno", "omega": 0.05, "n": 2.5, "dt": 0.1}
             )
+
+    # Each mode that takes omega, with the other keys it requires.
+    NEGATIVE_OMEGA = {
+        "three_level_zeno": {"n": 50, "dt": 0.1},
+        "no_zeno": {"t_total": 5.0},
+        "tunneling": {"gamma": 40.0, "t_total": 5.0},
+        "sweep": {"axis": "n", "axis_values": [25, 50], "t_total": 5.0},
+        "ncrit": {"t_total": 5.0, "n_max": 10},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(NEGATIVE_OMEGA))
+    def test_negative_omega_is_a_config_error(self, mode, tmp_path, capsys):
+        path = write_config(tmp_path, mode=mode, omega=-0.1, **self.NEGATIVE_OMEGA[mode])
+        assert run_scenario(path) == 1
+        assert capsys.readouterr() == ("", "config error: omega must be >= 0, got -0.1\n")
+
+    @pytest.mark.parametrize("keys", [
+        {"mode": "tunneling", "t_total": 5.0},
+        {"mode": "sweep", "axis": "n", "axis_values": [25, 50], "t_total": 5.0},
+    ], ids=["tunneling", "sweep"])
+    def test_negative_gamma_is_a_config_error(self, keys, tmp_path, capsys):
+        assert run_scenario(write_config(tmp_path, omega=0.05, gamma=-1.0, **keys)) == 1
+        assert capsys.readouterr() == ("", "config error: gamma must be >= 0, got -1.0\n")
+
+    def test_a_missing_key_is_named_before_a_negative_omega(self, tmp_path, capsys):
+        path = write_config(tmp_path, mode="tunneling", omega=-0.1, t_total=5.0)
+        assert run_scenario(path) == 1
+        assert capsys.readouterr().err == (
+            "config error: mode 'tunneling' requires keys ['gamma', 'omega', 't_total']; "
+            "missing ['gamma']\n")
+
+    # t_total / n would be named as a bad dt
+    @pytest.mark.parametrize("keys", [{"mode": "two_level_zeno", "v": 0.05},
+                                      {"mode": "three_level_zeno", "omega": 0.05}],
+                             ids=["two_level_zeno", "three_level_zeno"])
+    def test_zeno_t_total_must_be_positive(self, keys, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        for t_total in (-5, 0):
+            path = write_config(tmp_path, n=50, t_total=t_total, out=str(out), **keys)
+            assert run_scenario(path) == 1
+            assert capsys.readouterr().err == "config error: t_total must be positive\n"
+        assert run_scenario(write_config(tmp_path, n=50, dt=-0.1, out=str(out), **keys)) == 1
+        assert capsys.readouterr().err == (
+            "config error: dt must be positive and finite, got -0.1\n")
+        assert not out.exists()
 
     def test_rejects_negative_parameters(self):
         with pytest.raises(ConfigError):
@@ -365,7 +411,7 @@ class TestConfigValidation:
         path = write_config(tmp_path, mode="ghz", g=0.02, g_tilde=0.005)
         cfg = load_config(path)
         assert cfg.mode == "ghz"
-        assert cfg.model.g_tilde == 0.005
+        assert cfg.g_tilde == 0.005
 
     def test_load_config_rejects_a_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="^cannot read config"):
@@ -419,17 +465,18 @@ class TestConfigValidation:
         zeno = "dt" in raw
         assert raw.keys() - {"mode"} == report._MODES[mode].keys - ({"t_total"} if zeno else set())
         cfg = validate_config(raw)
-        physics = {f.name for f in dataclasses.fields(ModelSpec)}
         for key, value in raw.items():
-            coerced = report._COERCE[key](key, value)
-            if key in physics:
-                assert getattr(cfg.model, key) == coerced
-            elif key != "dt":
+            if key != "dt":
+                coerced = report._COERCE[key](key, value)
                 assert getattr(cfg, key) == coerced
                 assert type(getattr(cfg, key)) is type(coerced)
         if zeno:
             assert cfg.schedule == ZenoSchedule(40, 0.125)
             assert cfg.t_total == cfg.schedule.t_total
+
+
+def three_level(omega):
+    return build_three_level(omega, PHI_Y, ETA)
 
 
 def n_of(trace):
@@ -441,13 +488,12 @@ class TestFindNCrit:
     def test_reference_scenario_regression(self):
         # n = 1 is the baseline itself and is not searched; a 60-digit
         # reference gives d_zeno(2) / d_unitary = 0.651 here
-        assert n_of(find_n_crit(ModelSpec(omega=OMEGA), 5.0, 400)) == 2
+        assert n_of(find_n_crit(three_level(OMEGA), ground_state(), 5.0, 400)) == 2
 
     def test_minimality(self):
-        model = ModelSpec(omega=OMEGA)
-        found = find_n_crit(model, 5.0, 400)
+        h = three_level(OMEGA)
+        found = find_n_crit(h, ground_state(), 5.0, 400)
         n_crit = n_of(found)
-        h = build_three_level(OMEGA, PHI_Y, ETA)
         baseline = run_unitary(h, ground_state(), 5.0, samples=2).survival[-1]
         for m in range(2, n_crit):
             rec = run_zeno(h, ground_state(), ZenoSchedule(m, 5.0 / m))
@@ -457,23 +503,33 @@ class TestFindNCrit:
         np.testing.assert_array_equal(found.survival, rec.survival)
 
     def test_invariant_under_raising_n_max(self):
-        model = ModelSpec(omega=OMEGA)
-        low, high = find_n_crit(model, 5.0, 50), find_n_crit(model, 5.0, 400)
+        h = three_level(OMEGA)
+        low = find_n_crit(h, ground_state(), 5.0, 50)
+        high = find_n_crit(h, ground_state(), 5.0, 400)
         for field in ("times", "populations", "survival"):
             np.testing.assert_array_equal(getattr(low, field), getattr(high, field))
 
     def test_not_found_marker(self):
         # n_max = 1 searches nothing, though n = 2 qualifies here
-        model = ModelSpec(omega=0.13)
-        assert find_n_crit(model, 2.0, 1) is None
-        assert n_of(find_n_crit(model, 2.0, 2)) == 2
+        h = three_level(0.13)
+        assert find_n_crit(h, ground_state(), 2.0, 1) is None
+        assert n_of(find_n_crit(h, ground_state(), 2.0, 2)) == 2
         # a 60-digit reference finds no n <= 50 beating the baseline here
-        assert find_n_crit(ModelSpec(omega=0.0925), 25.1875, 50) is None
+        assert find_n_crit(three_level(0.0925), ground_state(), 25.1875, 50) is None
+
+    def test_searches_any_model(self):
+        # the two-level toy model, unmeasured W = cos^2(v*T) = cos^2(2.9) = 0.94
+        h, psi0, t_total = build_two_level(0.29), ground_state(2), 10.0
+        baseline = run_unitary(h, psi0, t_total, samples=2).survival[-1]
+        n_crit = next(n for n in range(2, 401)
+                      if run_zeno(h, psi0, ZenoSchedule(n, t_total / n)).survival[-1] >= baseline)
+        found = find_n_crit(h, psi0, t_total, 400)
+        assert found.dim == 2 and n_of(found) == n_crit
 
     def test_rejects_bad_n_max(self):
         for n_max in (0, 10.5, True):
             with pytest.raises(ValueError, match="n_max must be"):
-                find_n_crit(ModelSpec(omega=OMEGA), 5.0, n_max)
+                find_n_crit(three_level(OMEGA), ground_state(), 5.0, n_max)
 
 
 class TestSweep:
