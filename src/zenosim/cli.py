@@ -9,13 +9,16 @@ runtime/physics error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import gc
+import os
 import sys
 
 if __name__ == "__main__":
     # A one-shot process never frees what its imports build, so the cyclic
     # collector only walks that heap: keep it off while numpy imports, and
-    # freeze the heap before main so the exit-time collection skips it too.
+    # freeze the heap before main so the run's own collections skip it.
     gc.disable()
 
 from .report import MODES, run_scenario
@@ -59,4 +62,13 @@ def main(argv=None) -> int:
 if __name__ == "__main__":
     gc.freeze()
     gc.enable()  # cycles the run itself makes are still collected
-    sys.exit(main())
+    status = main()
+    # Tearing the interpreter down would only free memory the process is about
+    # to return: run the exit handlers, flush the streams and end here.  A
+    # failed summary write has been reported, so a flush that fails again on
+    # its buffer is quiet and leaves the status as it is.
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):  # either may be None, closed or failing
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stream.flush()
+    os._exit(status)

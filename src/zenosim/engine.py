@@ -44,8 +44,7 @@ runs may execute concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -101,19 +100,21 @@ def _check_count(name: str, value, minimum: int = 1) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class ZenoSchedule:
+class ZenoSchedule(NamedTuple("ZenoSchedule", [("n", int), ("dt", float)])):
     """Measurement plan: n intervals of length dt, total time T = n*dt (ns)."""
 
-    n: int
-    dt: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_count("n", self.n))
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not math.isfinite(self.n * self.dt):
-            raise ValueError(f"n*dt must be finite, got n={self.n} dt={self.dt!r}")
+    def __new__(cls, n: int, dt: float) -> ZenoSchedule:
+        n = _check_count("n", n)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
+        if not math.isfinite(n * dt):
+            raise ValueError(f"n*dt must be finite, got n={n} dt={dt!r}")
+        return super().__new__(cls, n, dt)
+
+    # `_replace` builds through `_make`: check its values as a new schedule's.
+    _make = classmethod(lambda cls, values: cls(*values))
 
     @property
     def t_total(self) -> float:

@@ -13,7 +13,7 @@ off; the couplings act only during the entangling step with the drives off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GhzDiagnostics:
+class GhzDiagnostics(NamedTuple):
     """How close a three-qubit state is to a GHZ state.
 
     fidelity              |<GHZ|psi>|^2 maximized over the relative phase

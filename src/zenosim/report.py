@@ -17,8 +17,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -64,8 +63,7 @@ class ConfigError(ValueError):
 MAX_TRACE_ROWS = 2_000_000
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Validated scenario: each attribute is named after its key (rates in rad/ns),
     and `schedule` is a Zeno mode's resolved (n, dt)."""
 
@@ -88,8 +86,7 @@ class ScenarioConfig:
     n_max: int | None = None
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     """One (w_zeno, w_no_zeno, w_tunnel) survival tuple per grid point, in grid
     order; None where the variant is undefined."""
 
@@ -263,8 +260,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         if values.get(key, 0) < 0:
             raise ConfigError(f"{key} must be >= 0, got {values[key]}")
 
-    return ScenarioConfig(**{f.name: values[f.name] for f in fields(ScenarioConfig)
-                             if f.name in values})
+    return ScenarioConfig(**{key: values[key] for key in ScenarioConfig._fields if key in values})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -515,8 +511,7 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
     return f"T={_fmt(cfg.t_total)} n_crit={trace.rows - 1} W={_fmt(trace.final_survival)}"
 
 
-@dataclass(frozen=True)
-class _Mode:
+class _Mode(NamedTuple):
     """One mode: its one-line help, the keys it accepts besides `mode`, the keys
     it requires, the runner that writes its CSV (when `out` is set) and returns
     the summary after `mode=<name>`, and a check of the coerced values that
@@ -577,7 +572,8 @@ def run_scenario(config_path=None, mode: str | None = None,
             if value is not None:
                 raw[key] = value
         cfg = validate_config(raw)
-        summary = f"mode={cfg.mode} {_MODES[cfg.mode].run(cfg)}"
+        # flushed here, so that a summary that cannot be written is an I/O error
+        print(f"mode={cfg.mode} {_MODES[cfg.mode].run(cfg)}", flush=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -587,5 +583,4 @@ def run_scenario(config_path=None, mode: str | None = None,
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    print(summary)
     return 0

@@ -346,14 +346,17 @@ ENTRY
 """
 
 
+def entry_call(entry):
+    """Python that runs the CLI as `python -m zenosim.cli` or as the console script."""
+    if entry == "module":
+        return "runpy.run_module('zenosim.cli', run_name='__main__', alter_sys=True)"
+    module, attr = script_entry().split(":")
+    return f"from {module} import {attr}; {attr}()"
+
+
 @pytest.mark.parametrize("entry", ["module", "script"])
 def test_cli_process_freezes_its_import_heap(entry, tmp_path):
-    if entry == "module":
-        run = "runpy.run_module('zenosim.cli', run_name='__main__', alter_sys=True)"
-    else:
-        module, attr = script_entry().split(":")
-        run = f"from {module} import {attr}; {attr}()"
-    probe = GC_PROBE.replace("ENTRY", run)
+    probe = GC_PROBE.replace("ENTRY", entry_call(entry))
     result = run_python(["-c", probe, str(tmp_path / "gc.json"), "ghz", "--g", "0.02",
                          "--g-tilde", "0.005"], tmp_path, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -366,10 +369,69 @@ def test_cli_process_freezes_its_import_heap(entry, tmp_path):
     assert not at["disable"]["numpy"] and at["freeze"]["numpy"]  # numpy imports in between
     assert "collect" not in names[first["disable"]:first["freeze"]]
     assert at["main"]["enabled"]  # the run's own cycles are collected
-    assert at["exit"]["frozen"] > 10_000  # the exit collection skips the import heap
+    assert at["exit"]["frozen"] > 10_000  # the import heap stays frozen to the end of the run
 
 
 def test_in_process_main_leaves_the_gc_alone(capsys):
     state = gc.isenabled(), gc.get_freeze_count()
     assert main(["ghz", "--g", "0.02", "--g-tilde", "0.005"]) == 0
     assert (gc.isenabled(), gc.get_freeze_count()) == state
+
+
+# Runs the CLI as a process does, and logs `atexit` when the exit handlers run
+# and `finalize` when the interpreter state is cleared, late in its teardown.
+# The audit hook binds what it calls: module globals are gone by then.
+EXIT_PROBE = """
+import atexit, os, runpy, sys
+
+fd = os.open(sys.argv.pop(1), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+atexit.register(lambda: os.write(fd, b"atexit "))
+
+def finalize(event, args, write=os.write, fd=fd):
+    if event == "cpython.PyInterpreterState_Clear":
+        write(fd, b"finalize ")
+
+sys.addaudithook(finalize)
+ENTRY
+"""
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_cli_process_runs_exit_handlers_and_skips_teardown(entry, tmp_path):
+    log = tmp_path / "exit.log"
+    result = run_python(["-c", EXIT_PROBE.replace("ENTRY", entry_call(entry)), str(log), "ghz",
+                         "--g", "0.02", "--g-tilde", "0.005"], tmp_path,
+                        capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "mode=ghz T=104.71975511965978 W=0.99999999999999767\n"
+    assert log.read_text().split() == ["atexit"]
+
+
+def test_cli_import_builds_no_dataclasses(tmp_path):
+    probe = ("import sys, numpy, argparse; before = set(sys.modules); import zenosim.cli; "
+             "print(sorted(m for m in set(sys.modules) - before if 'dataclass' in m))")
+    result = run_python(["-c", probe], tmp_path, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("stdout", ["full", "closed-pipe"])
+def test_failed_summary_write_is_an_io_error(stdout, unbuffered, tmp_path, monkeypatch):
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        sink = open("/dev/full", "wb")
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe fails with EPIPE
+        sink = os.fdopen(write_end, "wb")
+    with sink:
+        result = run_cli(["ghz", "--g", "0.02", "--g-tilde", "0.005"], tmp_path, stdout=sink,
+                         stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: "), result.stderr

@@ -422,6 +422,29 @@ class TestScheduleAndRecords:
         with pytest.raises(ValueError, match=r"n\*dt must be finite"):
             ZenoSchedule(3, 1e308)
 
+    @pytest.mark.parametrize("n,dt,message", [
+        (0, 0.1, "n must be >= 1, got 0"),
+        (5, -1.0, "dt must be positive and finite, got -1.0"),
+        (5, math.nan, "dt must be positive and finite, got nan"),
+        (3, 1e308, "n*dt must be finite, got n=3 dt=1e+308"),
+    ])
+    def test_schedule_error_messages(self, n, dt, message):
+        with pytest.raises(ValueError) as exc:
+            ZenoSchedule(n, dt)
+        assert str(exc.value) == message
+
+    def test_replaced_schedule_is_checked(self):
+        assert ZenoSchedule(50, 0.1)._replace(n=25) == ZenoSchedule(25, 0.1)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            ZenoSchedule(50, 0.1)._replace(n=0)
+
+    @pytest.mark.parametrize("field", ["n", "dt"])
+    def test_schedule_is_immutable(self, field):
+        schedule = ZenoSchedule(50, 0.1)
+        with pytest.raises(AttributeError):
+            setattr(schedule, field, 1)
+        assert schedule == ZenoSchedule(50, 0.1)
+
     def test_record_fields_are_probabilities(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)
         trace = run_zeno(h, ground_state(3), ZenoSchedule(25, 0.2))

@@ -474,6 +474,12 @@ class TestConfigValidation:
             assert cfg.schedule == ZenoSchedule(40, 0.125)
             assert cfg.t_total == cfg.schedule.t_total
 
+    def test_config_is_immutable_and_replaced_by_copy(self):
+        cfg = validate_config({"mode": "ghz", "g": 0.02, "g_tilde": 0.005})
+        with pytest.raises(AttributeError):
+            cfg.g = 0.03
+        assert cfg._replace(g=0.03).g == 0.03 and cfg.g == 0.02
+
 
 def three_level(omega):
     return build_three_level(omega, PHI_Y, ETA)
