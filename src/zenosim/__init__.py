@@ -14,7 +14,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "linalg": ("mat_exp", "apply", "kron", "is_hermitian"),
+    "linalg": ("mat_exp", "is_hermitian"),
     "models": ("build_two_level", "build_three_level", "build_tunneling",
                "build_ghz_hamiltonian"),
     "engine": ("ZenoSchedule", "SimulationTrace", "PhysicsError", "DegenerateProjectionError",

@@ -44,6 +44,7 @@ runs may execute concurrently without coordination.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -95,6 +96,8 @@ class DegenerateProjectionError(PhysicsError):
 def _check_count(name: str, value, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if abs(value) > sys.float_info.max:  # exact, where float(value) would overflow
+        raise ValueError(f"{name} is past the float range")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
@@ -132,30 +135,18 @@ class SimulationTrace:
 
     A trace is `dim`, a row count and one source of blocks, block(start, stop)
     = (times, populations, survival) of rows start:stop, read in the blocks of
-    _partition.  It holds only what a later row depends on: a trace built from
-    the three arrays holds them; a run_zeno trace holds its survival, since
-    each check's survival depends on every earlier one; a run_unitary or
-    run_tunneling trace holds no row.  The first read of a column not held
-    forms all three in one pass over blocks() and keeps each one not held;
-    blocks() keeps none.  final_survival reads a held survival, or else the
-    last block alone.  Every way gives the same bits.
+    _partition.  It holds only what a later row depends on: a run_zeno trace
+    holds its survival, since each check's survival depends on every earlier
+    one; a run_unitary or run_tunneling trace holds no row.  The first read of
+    a column not held forms all three in one pass over blocks() and keeps each
+    one not held; blocks() keeps none.  final_survival reads a held survival,
+    or else the last block alone.  Every way gives the same bits.
     """
 
     _COLUMNS = ("times", "populations", "survival")
 
-    def __init__(self, times, populations, survival):
-        times, populations, survival = map(np.asarray, (times, populations, survival))
-        if populations.ndim != 2 or not times.shape == survival.shape == populations.shape[:1]:
-            raise ValueError("a trace needs 2-D populations and one length for all three columns")
-        self._of(populations.shape[1], len(times), lambda start, stop: (
-            times[start:stop], populations[start:stop], survival[start:stop]))
-        self.times, self.populations, self.survival = times, populations, survival
-
-    def _of(self, dim: int, rows: int, block: Callable) -> SimulationTrace:
-        """Make this the trace of `rows` rows of `dim` levels whose rows
-        start:stop are block(start, stop); return it."""
+    def __init__(self, dim: int, rows: int, block: Callable):
         self.dim, self._bounds, self._block = dim, _partition(rows), block
-        return self
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Called only for a name the instance lacks: a column not held or formed yet.
@@ -269,7 +260,7 @@ def _evolve(h, psi0, t_total: float, rows: int,
             populations[0] = np.abs(psi0) ** 2
         return t, populations, survival(populations)
 
-    return SimulationTrace.__new__(SimulationTrace)._of(len(psi0), rows, block)
+    return SimulationTrace(len(psi0), rows, block)
 
 
 def run_unitary(h, psi0, t_total: float, samples: int = DEFAULT_SAMPLES) -> SimulationTrace:
@@ -423,9 +414,8 @@ def run_zeno(h, psi0, schedule: ZenoSchedule) -> SimulationTrace:
     np.negative(survival, out=survival)
     np.exp(survival, out=survival)
     np.minimum.accumulate(survival, out=survival)
-    trace = SimulationTrace.__new__(SimulationTrace)._of(
-        len(psi), schedule.n + 1, lambda start, stop: (
-            schedule.dt * np.arange(start, stop), populations(start, stop), survival[start:stop]))
+    trace = SimulationTrace(len(psi), schedule.n + 1, lambda start, stop: (
+        schedule.dt * np.arange(start, stop), populations(start, stop), survival[start:stop]))
     trace.survival = survival
     return trace
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["HERMITIAN_TOL", "is_hermitian", "mat_exp", "apply", "kron"]
+__all__ = ["HERMITIAN_TOL", "is_hermitian", "mat_exp"]
 
 HERMITIAN_TOL = 1e-12
 

@@ -65,7 +65,8 @@ MAX_TRACE_ROWS = 2_000_000
 
 class ScenarioConfig(NamedTuple):
     """Validated scenario: each attribute is named after its key (rates in rad/ns),
-    and `schedule` is a Zeno mode's resolved (n, dt)."""
+    and `schedule` is a Zeno mode's resolved (n, dt).  Every drive has the phase
+    DEFAULT_PHI: a run from the ground state does not depend on it."""
 
     mode: str
     schedule: ZenoSchedule | None = None
@@ -75,7 +76,6 @@ class ScenarioConfig(NamedTuple):
     steps: int | None = None
     out: str | None = None
     omega: float = 0.0
-    phi: float = DEFAULT_PHI
     eta: float = DEFAULT_ETA
     gamma: float | None = None
     v: float = 0.0
@@ -137,9 +137,7 @@ def _coerce_float_list(key: str, value) -> tuple[float, ...]:
 
 # Every config key the schema knows, with its coercion; any other key is unknown.
 _COERCE = {
-    **dict.fromkeys(
-        ("omega", "phi", "eta", "gamma", "v", "g", "g_tilde", "dt", "t_total"), _coerce_float
-    ),
+    **dict.fromkeys(("omega", "eta", "gamma", "v", "g", "g_tilde", "dt", "t_total"), _coerce_float),
     **dict.fromkeys(("n", "samples", "steps", "n_max"), _coerce_int),
     **dict.fromkeys(("mode", "axis"), _coerce_str),
     "out": _coerce_path,
@@ -325,12 +323,12 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     # so grid points that share those values share one run.
     @functools.cache
     def w_zeno(omega: float, n: int, dt: float) -> float:
-        h = build_three_level(omega, cfg.phi, cfg.eta)
+        h = build_three_level(omega, DEFAULT_PHI, cfg.eta)
         return float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).final_survival)
 
     @functools.cache
     def w_no_zeno(omega: float, t_total: float) -> float:
-        h = build_three_level(omega, cfg.phi, cfg.eta)
+        h = build_three_level(omega, DEFAULT_PHI, cfg.eta)
         return float(run_unitary(h, psi0, t_total, samples=2).final_survival)
 
     @functools.cache
@@ -470,12 +468,12 @@ def _run_two_level_zeno(cfg: ScenarioConfig) -> str:
 
 
 def _run_three_level_zeno(cfg: ScenarioConfig) -> str:
-    h = build_three_level(cfg.omega, cfg.phi, cfg.eta)
+    h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
     return _emit_trace(cfg, run_zeno(h, _ground_state(3), cfg.schedule))
 
 
 def _run_no_zeno(cfg: ScenarioConfig) -> str:
-    h = build_three_level(cfg.omega, cfg.phi, cfg.eta)
+    h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
     return _emit_trace(cfg, run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples))
 
 
@@ -503,7 +501,7 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 
 
 def _run_ncrit(cfg: ScenarioConfig) -> str:
-    h = build_three_level(cfg.omega, cfg.phi, cfg.eta)
+    h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
     trace = find_n_crit(h, _ground_state(3), cfg.t_total, cfg.n_max)
     if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
@@ -529,10 +527,10 @@ _MODES = {
                             {"v", "n", "dt", "t_total", "out"}, {"v", "n"},
                             _run_two_level_zeno, _resolve_schedule),
     "three_level_zeno": _Mode("driven three-level qubit under repeated leak measurements",
-                              {"omega", "phi", "eta", "n", "dt", "t_total", "out"},
+                              {"omega", "eta", "n", "dt", "t_total", "out"},
                               {"omega", "n"}, _run_three_level_zeno, _resolve_schedule),
     "no_zeno": _Mode("exact unmeasured evolution of the driven three-level qubit",
-                     {"omega", "phi", "eta", "t_total", "samples", "out"},
+                     {"omega", "eta", "t_total", "samples", "out"},
                      {"omega", "t_total"}, _run_no_zeno),
     "tunneling": _Mode("continuous measurement via a decaying top level",
                        {"omega", "eta", "gamma", "t_total", "steps", "out"},
@@ -540,11 +538,11 @@ _MODES = {
     "ghz": _Mode("single-step three-qubit GHZ preparation",
                  {"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
     "sweep": _Mode("survival probabilities along a parameter grid",
-                   {"axis", "axis_values", "omega", "phi", "eta", "gamma", "n", "t_total",
-                    "out"}, {"axis", "axis_values"}, _run_sweep, _check_sweep),
+                   {"axis", "axis_values", "omega", "eta", "gamma", "n", "t_total", "out"},
+                   {"axis", "axis_values"}, _run_sweep, _check_sweep),
     # ncrit has no file output, so it takes no `out`.
     "ncrit": _Mode("smallest measurement count beating the unmeasured survival",
-                   {"omega", "phi", "eta", "t_total", "n_max"},
+                   {"omega", "eta", "t_total", "n_max"},
                    {"omega", "t_total", "n_max"}, _run_ncrit),
 }
 

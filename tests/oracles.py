@@ -14,6 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from zenosim.engine import SimulationTrace
+
+
+def trace_of(times, populations, survival) -> SimulationTrace:
+    """A trace whose rows are the given columns, to feed chosen cells to a writer."""
+    times, populations, survival = map(np.asarray, (times, populations, survival))
+    return SimulationTrace(populations.shape[1], len(times), lambda start, stop: (
+        times[start:stop], populations[start:stop], survival[start:stop]))
+
 
 def taylor_expm(a, s: complex = 1.0, terms: int = 40) -> np.ndarray:
     """exp(s*A) by direct truncated Taylor summation."""

@@ -22,11 +22,13 @@ from zenosim.models import (
     build_tunneling,
     build_two_level,
 )
+from zenosim.report import find_n_crit
 
 from oracles import (
     EXCEPTIONAL_POINT,
     build_three_level_ideal,
     fine_step_final_state,
+    trace_of,
     zeno_survival_taylor,
 )
 
@@ -549,6 +551,28 @@ def test_every_runner_checks_its_inputs_alike(runner, bad):
         RUNNERS[runner](h, psi0)
 
 
+# Each count, past the float range: float(count) would raise OverflowError.
+BIG_COUNTS = {
+    "n of a schedule": lambda big: ZenoSchedule(big, 0.1),
+    "samples": lambda big: run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
+                                       5.0, samples=big),
+    "steps": lambda big: run_tunneling(build_tunneling(OMEGA, ETA, 40.0), ground_state(3), 5.0,
+                                       steps=big),
+    "n of the closed form": lambda big: two_level_survival_closed_form(0.05, 5.0, big),
+    "n_max": lambda big: find_n_crit(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
+                                     5.0, big),
+}
+
+
+@pytest.mark.parametrize("count", sorted(BIG_COUNTS))
+def test_a_count_past_the_float_range_is_a_value_error(count):
+    # 10**5000 has more digits than an int may be printed with.
+    for big in (10**400, 10**5000):
+        with pytest.raises(ValueError) as exc:
+            BIG_COUNTS[count](big)
+        assert str(exc.value) == f"{count.split()[0]} is past the float range"
+
+
 def _zeno_run():
     # 12,290 rows: whole blocks of every size below and a partial one.
     return run_zeno(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3),
@@ -610,8 +634,9 @@ def test_results_do_not_depend_on_the_sample_block(run, monkeypatch):
 
 
 def _array_trace():
+    # A caller's own block source: rows sliced from a table it holds.
     table = np.random.default_rng(7).standard_normal((3_000, 5))
-    return SimulationTrace(times=table[:, 0], populations=table[:, 1:4], survival=table[:, 4])
+    return trace_of(times=table[:, 0], populations=table[:, 1:4], survival=table[:, 4])
 
 
 COLUMN_RUNS = {**SAMPLE_BLOCK_RUNS, "arrays": _array_trace}
@@ -625,8 +650,7 @@ def test_the_first_column_read_forms_and_keeps_all_three(run, first, monkeypatch
     trace = COLUMN_RUNS[run]()
     names = ("times", "populations", "survival")
     held = {name: vars(trace)[name] for name in names if name in vars(trace)}
-    assert list(held) == (list(names) if run == "arrays" else
-                          ["survival"] if run.startswith("zeno") else [])
+    assert list(held) == (["survival"] if run.startswith("zeno") else [])
     joined = [np.concatenate(cols) for cols in zip(*trace.blocks())]
     assert np.array_equal(getattr(trace, first), joined[names.index(first)])
     # Reading a held column forms nothing; reading any other forms all three.

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from test_cli import run_python
 # zenosim.cli defines no __all__: its interface is the command line.
 MODULES = ["zenosim", "zenosim.engine", "zenosim.ghz", "zenosim.linalg", "zenosim.models",
            "zenosim.report"]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -65,3 +68,10 @@ def test_dir_covers_all():
 def test_unknown_name_is_the_standard_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'zenosim' has no attribute 'no_such'$"):
         zenosim.no_such  # noqa: B018
+
+
+def test_readme_quick_start_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md (Library quick start)", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == code.count("print(")

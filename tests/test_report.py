@@ -15,7 +15,6 @@ import pytest
 
 from zenosim import _g17, cli, engine, report
 from zenosim.engine import (
-    SimulationTrace,
     ZenoSchedule,
     run_tunneling,
     run_unitary,
@@ -71,7 +70,7 @@ class TestConfigValidation:
         )
         assert cfg.schedule == ZenoSchedule(50, 0.1)
         assert cfg.t_total == pytest.approx(5.0)
-        assert (cfg.eta, cfg.phi) == (-0.2, -math.pi / 2)
+        assert cfg.eta == -0.2
 
     # `seed` was accepted and never read; it is now an unknown key like any typo
     @pytest.mark.parametrize("key", ["omega_typo", "seed"])
@@ -356,7 +355,7 @@ class TestConfigValidation:
             monkeypatch.setattr(report, name, counted)
         if raw["mode"] == "ncrit":
             # no Zeno run reaches a baseline of 2, so the scan runs up to n_max
-            monkeypatch.setattr(report, "run_unitary", lambda *args, **kwargs: SimulationTrace(
+            monkeypatch.setattr(report, "run_unitary", lambda *args, **kwargs: oracles.trace_of(
                 np.zeros(2), np.zeros((2, 3)), np.full(2, 2.0)))
         assert run_scenario(overrides=raw) == 0
         assert max(built) == rows
@@ -447,16 +446,14 @@ class TestConfigValidation:
     # not t_total.  Integral floats and integers stand where the other is due.
     FULL_CONFIGS = {
         "two_level_zeno": {"v": 0.05, "n": 40.0, "dt": 0.125, "out": "w.csv"},
-        "three_level_zeno": {"omega": 0.05, "phi": 0.5, "eta": -0.3, "n": 40, "dt": 0.125,
-                             "out": "w.csv"},
-        "no_zeno": {"omega": 0.05, "phi": 0.5, "eta": -0.3, "t_total": 5, "samples": 11.0,
-                    "out": "w.csv"},
+        "three_level_zeno": {"omega": 0.05, "eta": -0.3, "n": 40, "dt": 0.125, "out": "w.csv"},
+        "no_zeno": {"omega": 0.05, "eta": -0.3, "t_total": 5, "samples": 11.0, "out": "w.csv"},
         "tunneling": {"omega": 0.05, "eta": -0.3, "gamma": 40, "t_total": 5.0, "steps": 100,
                       "out": "w.csv"},
         "ghz": {"g": 0.02, "g_tilde": 0.005, "out": "w.csv"},
-        "sweep": {"axis": "omega", "axis_values": [0.01, 0.02], "omega": 0.05, "phi": 0.5,
-                  "eta": -0.3, "gamma": 40.0, "n": 400, "t_total": 5.0, "out": "w.csv"},
-        "ncrit": {"omega": 0.05, "phi": 0.5, "eta": -0.3, "t_total": 5.0, "n_max": 20.0},
+        "sweep": {"axis": "omega", "axis_values": [0.01, 0.02], "omega": 0.05, "eta": -0.3,
+                  "gamma": 40.0, "n": 400, "t_total": 5.0, "out": "w.csv"},
+        "ncrit": {"omega": 0.05, "eta": -0.3, "t_total": 5.0, "n_max": 20.0},
     }
 
     @pytest.mark.parametrize("mode", list(MODES))
@@ -479,6 +476,27 @@ class TestConfigValidation:
         with pytest.raises(AttributeError):
             cfg.g = 0.03
         assert cfg._replace(g=0.03).g == 0.03 and cfg.g == 0.02
+
+
+def test_the_drive_phase_is_a_gauge(tmp_path, capsys):
+    # diag(1, e^-i phi, e^-2i phi) takes the phase out of H and commutes with
+    # every leak check, so a run from the ground state does not see it.  Zeno
+    # rows hold the rounding of U = exp(-iH dt) to the k-th power, which moves
+    # with phi: 1.0e-14 at phi = 0.5, k = 400 (see test_zeno_populations).
+    def runs(phi):
+        h = build_three_level(OMEGA, phi, ETA)
+        return (run_zeno(h, [1, 0, 0], ZenoSchedule(400, 5.0 / 400)),
+                run_unitary(h, [1, 0, 0], 5.0, samples=1_001))
+
+    reference = runs(PHI_Y)
+    for phi in (0.0, 0.5, 2.0):
+        for trace, ref, atol in zip(runs(phi), reference, (1e-13, 1e-15)):
+            assert np.max(np.abs(trace.populations - ref.populations)) <= atol
+            assert 1 - trace.final_survival == pytest.approx(1 - ref.final_survival, rel=1e-12)
+    # So the phase is not a config key.
+    path = write_config(tmp_path, mode="no_zeno", omega=0.05, t_total=5, phi=0.5)
+    assert run_scenario(path) == 1
+    assert capsys.readouterr().err == "config error: unknown config key: 'phi'\n"
 
 
 def three_level(omega):
@@ -665,7 +683,7 @@ class TestSweep:
 
 class TestTraceCsv:
     def test_empty_trace_writes_header_only(self, tmp_path):
-        trace = SimulationTrace(
+        trace = oracles.trace_of(
             times=np.empty(0), populations=np.empty((0, 3)), survival=np.empty(0)
         )
         path = tmp_path / "empty.csv"
@@ -673,7 +691,7 @@ class TestTraceCsv:
         assert path.read_text(encoding="utf-8") == "t,p1,p2,p3,W\n"
 
     def test_three_samples_make_four_lines(self, tmp_path):
-        trace = SimulationTrace(
+        trace = oracles.trace_of(
             times=np.array([0.0, 0.1, 0.2]),
             populations=np.array([[1.0, 0, 0], [0.9, 0.1, 0], [0.8, 0.15, 0.05]]),
             survival=np.array([1.0, 0.99, 0.97]),
@@ -698,7 +716,7 @@ class TestTraceCsv:
         assert np.array_equal(parsed[:, 4], trace.survival)
 
     def test_lf_newlines_only(self, tmp_path):
-        trace = SimulationTrace(
+        trace = oracles.trace_of(
             times=np.array([0.0, 1.0]),
             populations=np.array([[1.0, 0, 0], [0.5, 0.5, 0]]),
             survival=np.array([1.0, 1.0]),
@@ -719,14 +737,14 @@ class TestTraceCsv:
             assert row.split(",")[3] == "0"
 
     def test_rejects_wide_traces(self, tmp_path):
-        trace = SimulationTrace(
+        trace = oracles.trace_of(
             times=np.array([0.0]), populations=np.ones((1, 4)), survival=np.array([1.0])
         )
         with pytest.raises(ValueError):
             emit_trace_csv(trace, tmp_path / "x.csv")
 
     def test_io_error_carries_path(self, tmp_path):
-        trace = SimulationTrace(
+        trace = oracles.trace_of(
             times=np.empty(0), populations=np.empty((0, 3)), survival=np.empty(0)
         )
         missing = tmp_path / "no_such_dir" / "x.csv"
@@ -765,7 +783,7 @@ class TestStreamedTraceCsv:
             monkeypatch.setattr(engine, "EIGVEC_COND_MAX", -1.0)
         trace = STREAMED_RUNS[run]()
         emit_trace_csv(trace, tmp_path / "streamed.csv")
-        held = SimulationTrace(times=trace.times, populations=trace.populations,
+        held = oracles.trace_of(times=trace.times, populations=trace.populations,
                                survival=trace.survival)
         emit_trace_csv(held, tmp_path / "held.csv")
         streamed = (tmp_path / "streamed.csv").read_bytes()
@@ -776,7 +794,7 @@ class TestStreamedTraceCsv:
     @pytest.mark.parametrize("rows", [0, 1, 2, 1_025])
     def test_a_held_trace_is_cut_as_a_run_is(self, rows, tmp_path):
         table = np.random.default_rng(rows).standard_normal((rows, 5))
-        trace = SimulationTrace(times=table[:, 0], populations=table[:, 1:4],
+        trace = oracles.trace_of(times=table[:, 0], populations=table[:, 1:4],
                                 survival=table[:, 4])
         # Each of these is one block; 1,025 rows keep their lone last row.
         assert trace._bounds == engine._partition(rows) == [(0, rows)]
@@ -785,19 +803,9 @@ class TestStreamedTraceCsv:
         assert (tmp_path / "held.csv").read_text(encoding="utf-8") == (
             "t,p1,p2,p3,W\n" + oracles.csv_17g(table))
 
-    @pytest.mark.parametrize("times, populations, survival", [
-        (np.zeros(3), np.zeros((2, 3)), np.zeros(3)),
-        (np.zeros(3), np.zeros((3, 3)), np.zeros(2)),
-        (np.zeros(3), np.zeros(3), np.zeros(3)),
-        (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros((3, 1))),
-    ])
-    def test_a_held_trace_checks_its_arrays(self, times, populations, survival):
-        with pytest.raises(ValueError, match="2-D populations and one length"):
-            SimulationTrace(times=times, populations=populations, survival=survival)
-
     def test_a_held_trace_of_lists_writes_the_bytes_of_arrays(self, tmp_path):
         table = np.random.default_rng(3).standard_normal((1_030, 5))
-        trace = SimulationTrace(times=table[:, 0].tolist(), populations=table[:, 1:4].tolist(),
+        trace = oracles.trace_of(times=table[:, 0].tolist(), populations=table[:, 1:4].tolist(),
                                 survival=table[:, 4].tolist())
         emit_trace_csv(trace, tmp_path / "lists.csv")
         assert (tmp_path / "lists.csv").read_text(encoding="utf-8") == (
@@ -809,7 +817,7 @@ class TestStreamedTraceCsv:
         trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(), 5.0,
                             samples=3_000 if held else 12_289)
         if held:
-            trace = SimulationTrace(times=trace.times, populations=trace.populations,
+            trace = oracles.trace_of(times=trace.times, populations=trace.populations,
                                     survival=trace.survival)
         rows, format_block = [], _g17.format_block
 
@@ -864,7 +872,7 @@ class TestTraceCsvKernel:
             path = os.path.join(tmp, "trace.csv")
             for start in range(0, len(rows), engine._BLOCK + 1):
                 part = rows[start:start + engine._BLOCK + 1]
-                trace = SimulationTrace(times=part[:, 0], populations=part[:, 1:4],
+                trace = oracles.trace_of(times=part[:, 0], populations=part[:, 1:4],
                                         survival=part[:, 4])
                 assert len(trace._bounds) == 1
                 emit_trace_csv(trace, path)
