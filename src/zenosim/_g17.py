@@ -1,7 +1,7 @@
 """Trace CSV text of float blocks, each cell with the bytes `%.17g` gives it.
 
 Only a trace of more than one engine block imports this module; a one-block
-trace is written row by row with `%.17g` (report.emit_trace_csv).
+trace's stacked block is formatted by `%.17g` itself (report.emit_trace_csv).
 
 The kernel formats a whole block at once.  A cell x with 1e-280 <= |x| <=
 1e280 has k = floor(log10|x|) and the 17 digits D = round-half-even(|x| *

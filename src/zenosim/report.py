@@ -257,6 +257,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
     for key in ("omega", "gamma"):
         if values.get(key, 0) < 0:
             raise ConfigError(f"{key} must be >= 0, got {values[key]}")
+    # A sweep's or ncrit's smallest Zeno step, at its largest n, is checked as
+    # a Zeno mode's; n = 1 (dt = t_total) where the config runs no Zeno step.
+    if mode in ("sweep", "ncrit") and "t_total" in values:
+        n = max(*map(int, grid), values.get("n_max", 1))
+        try:
+            ZenoSchedule(n=n, dt=values["t_total"] / n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     return ScenarioConfig(**{key: values[key] for key in ScenarioConfig._fields if key in values})
 
@@ -278,12 +286,6 @@ def _load_raw(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a flat JSON object")
     return raw
-
-
-def _ground_state(dim: int) -> np.ndarray:
-    psi = np.zeros(dim, dtype=complex)
-    psi[0] = 1.0
-    return psi
 
 
 def find_n_crit(h, psi0, t_total: float, n_max: int) -> SimulationTrace | None:
@@ -316,7 +318,7 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     """
     if cfg.mode != "sweep":
         raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r}")
-    psi0 = _ground_state(3)
+    psi0 = [1, 0, 0]
 
     # Each variant is cached on the values it depends on: w_zeno on
     # (omega, n, dt), w_no_zeno on (omega, T) and w_tunnel on (omega, gamma, T),
@@ -411,31 +413,27 @@ def _is_file(target, st: os.stat_result) -> bool:
 def emit_trace_csv(trace: SimulationTrace, path) -> None:
     """Write a trace as `t,p1,p2,p3,W` rows (LF newlines, 17 significant
     digits, no trailing blank line); two-level traces pad p3 with zero.
-    A trace of one block (at most 1,025 rows) is written a row at a time with
-    `%.17g`, which costs less than the CSV kernel's import and first call.
-    Only a longer trace imports the kernel; each of its blocks is formed and
-    then written by one kernel call, on one workspace that the kernel keeps
-    from block to block, so the working set (about 0.75 MB) does not grow
-    with the trace.  Both write the same bytes."""
+    Each block of the trace is stacked into a `(rows, 5)` float array and
+    formatted by one call.  A trace of one block (at most 1,025 rows) is
+    formatted by `%.17g` itself, which costs less than the CSV kernel's
+    import and first call; only a longer trace imports the kernel, which
+    keeps one workspace from block to block, so the working set (about
+    0.75 MB) does not grow with the trace.  Both write the same bytes."""
     if trace.dim > 3:
         raise ValueError(f"trace CSV holds at most three levels, got dim {trace.dim}")
     pad = 3 - trace.dim
     if len(trace._bounds) == 1:
-        times, populations, survival = next(trace.blocks())
-        rows = (
-            "%.17g,%.17g,%.17g,%.17g,%.17g\n" % (t, *p, *[0.0] * pad, w)
-            for t, p, w in zip(times.tolist(), populations.tolist(), survival.tolist()))
+        def format_block(block: np.ndarray, work: dict) -> str:
+            return "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist())
     else:
         # Imported here, so that only a run that writes a trace of more than
         # one block compiles it.
         from ._g17 import format_block
-
-        work = {}
-        rows = (
-            format_block(np.stack([t, *populations.T, *[np.broadcast_to(0.0, len(t))] * pad,
-                                   survival], axis=1, dtype=float), work)
-            for t, populations, survival in trace.blocks())
-    _write_csv(path, "t,p1,p2,p3,W", rows)
+    work = {}
+    _write_csv(path, "t,p1,p2,p3,W", (
+        format_block(np.stack([t, *populations.T, *[np.broadcast_to(0.0, len(t))] * pad,
+                               survival], axis=1, dtype=float), work)
+        for t, populations, survival in trace.blocks()))
 
 
 def emit_sweep_csv(result: SweepResult, path) -> None:
@@ -464,22 +462,22 @@ def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace) -> str:
 # call time, so a caller may wrap those names (as a tracer does).
 def _run_two_level_zeno(cfg: ScenarioConfig) -> str:
     h = build_two_level(cfg.v)
-    return _emit_trace(cfg, run_zeno(h, _ground_state(2), cfg.schedule))
+    return _emit_trace(cfg, run_zeno(h, [1, 0], cfg.schedule))
 
 
 def _run_three_level_zeno(cfg: ScenarioConfig) -> str:
     h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
-    return _emit_trace(cfg, run_zeno(h, _ground_state(3), cfg.schedule))
+    return _emit_trace(cfg, run_zeno(h, [1, 0, 0], cfg.schedule))
 
 
 def _run_no_zeno(cfg: ScenarioConfig) -> str:
     h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
-    return _emit_trace(cfg, run_unitary(h, _ground_state(3), cfg.t_total, samples=cfg.samples))
+    return _emit_trace(cfg, run_unitary(h, [1, 0, 0], cfg.t_total, samples=cfg.samples))
 
 
 def _run_tunneling(cfg: ScenarioConfig) -> str:
     h = build_tunneling(cfg.omega, cfg.eta, cfg.gamma)
-    return _emit_trace(cfg, run_tunneling(h, _ground_state(3), cfg.t_total, steps=cfg.steps))
+    return _emit_trace(cfg, run_tunneling(h, [1, 0, 0], cfg.t_total, steps=cfg.steps))
 
 
 def _run_ghz(cfg: ScenarioConfig) -> str:
@@ -502,7 +500,7 @@ def _run_sweep(cfg: ScenarioConfig) -> str:
 
 def _run_ncrit(cfg: ScenarioConfig) -> str:
     h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
-    trace = find_n_crit(h, _ground_state(3), cfg.t_total, cfg.n_max)
+    trace = find_n_crit(h, [1, 0, 0], cfg.t_total, cfg.n_max)
     if trace is None:
         return f"T={_fmt(cfg.t_total)} n_crit=none"
     # A Zeno trace has a row per check and one more.

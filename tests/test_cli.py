@@ -115,7 +115,7 @@ class TestMain:
         assert "mode=tunneling" in capsys.readouterr().out
 
 
-# sha256 of the bytes each run writes: its CSV, or for ncrit its stdout.
+# sha256 of the bytes each run writes: its CSV, or its stdout if it writes none.
 # Any change to these outputs, down to the last of 17 digits, is a change of
 # the CLI contract and must show here.  Taken with numpy 2.4 on OpenBLAS.
 # Each entry: flags, config keys for what has no flag (or None), digest.
@@ -142,7 +142,63 @@ BYTE_CONTRACT = {
     "sweep": (["sweep"], {"axis": "gamma", "axis_values": [0.0, 40.0, 400.0],
                           "omega": 0.05, "t_total": 5.0},
               "d1e1de8750ddf3af4468cc46c1b0756b4b5eebc43c10e79a1ec01d3e3191abaf"),
+    # 1,025 rows are the largest trace of one engine block, 1,026 the smallest of two
+    "no_zeno_1025": (["no-zeno", "--omega", "0.05", "--t-total", "5"], {"samples": 1025},
+                     "15fc5d3f6149a116ec2be78ac227cb013628368be1ab845e39fa138cb75b8265"),
+    "no_zeno_1026": (["no-zeno", "--omega", "0.05", "--t-total", "5"], {"samples": 1026},
+                     "1f8d4bb4436bbe2bcb00b92aa3369fba13a23ee1b10c5d05f69d043966291ce7"),
+    "three_level_zeno_dt": (["three-level-zeno", "--omega", "0.05", "--n", "50", "--dt", "0.1"],
+                            None,
+                            "b611b61ce9b6dd6b227b6a9ae72766475e7f0c639abf3d08c443abfa94ebd2ff"),
+    # The jobs of bench/run.py's WORKLOADS that no entry above covers, with
+    # their arguments.  zeno_n4000 is a Zeno trace the CSV kernel writes.
+    "zeno_n4000": (["three-level-zeno", "--omega", "0.05", "--eta", "-0.2", "--t-total", "5.0",
+                    "--n", "4000"], None,
+                   "9c48b01695ace1b2fae62e4db060842c181b30b4d2314b169ba4c1c6169f7986"),
+    "zeno_n40000": (["three-level-zeno", "--omega", "0.05", "--eta", "-0.2", "--t-total", "5.0",
+                     "--n", "40000"], None,
+                    "ae87e741dc6e0b36e19229209da1dcb5f8f1bed9caf1a3789d20a6da0be43122"),
+    "tunneling_g400": (["tunneling", "--omega", "0.05", "--eta", "-0.2", "--gamma", "400.0",
+                        "--t-total", "5.0"], None,
+                       "37e3a1b076e86719c3a5230a4b9d2d2dca349a9e9e4fd5e041626cf228403f05"),
+    "no_zeno_10001": (["no-zeno"], {"omega": 0.05, "eta": -0.2, "t_total": 5.0, "samples": 10001},
+                      "5c2781f23fafdee9b37454075be96a58cac44b1cd9b78136bc5727dd0acc9894"),
+    "two_level_zeno_n400": (["two-level-zeno"], {"v": 0.05, "t_total": 5.0, "n": 400},
+                            "ddde50c6a0d677a0239e3acb10541280bdc7a9c9e3db68c6a844236e75cad64d"),
+    "two_level_zeno_n50": (["two-level-zeno"], {"v": 0.05, "t_total": 5.0, "n": 50},
+                           "1807e496c937e49cd6f4a1287cacc11644c767e8334564c8247250ca9633119b"),
+    "sweep_n_curve": (["sweep"], {"axis": "n",
+                                  "axis_values": [1, 2, 5, 10, 20, 50, 100, 200, 500, 1000],
+                                  "omega": 0.05, "eta": -0.2, "t_total": 5.0},
+                      "8176047360216549fb8463ee16b1997eaa566f24310e74e03dd52da911c36e58"),
+    "sweep_gamma": (["sweep"], {"axis": "gamma", "axis_values": [20.0 * k for k in range(11)],
+                                "omega": 0.05, "eta": -0.2, "t_total": 5.0},
+                    "9a3d8102376ce133735032ac6b866e5dcc405a658e218760a3d880500d9449c2"),
+    "sweep_n": (["sweep"], {"axis": "n",
+                            "axis_values": [10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000],
+                            "omega": 0.05, "eta": -0.2, "t_total": 5.0, "gamma": 40.0},
+                "ed79e39f9abbe661a4abf9f51e41b8033d1004b7cd20d8274f6dafd6e9f1f45f"),
+    "sweep_omega": (["sweep"], {"axis": "omega", "axis_values": [0.01 * k for k in range(1, 11)],
+                                "omega": 0.05, "eta": -0.2, "t_total": 5.0, "n": 400,
+                                "gamma": 40.0},
+                    "d6077e0e07cf497c48bf69eb69ef1b990d4b85fb4ccf296dd3727b8edef1d295"),
+    # The benchmark's jobs that write no CSV.
+    "ghz_summary": (["ghz", "--g", "0.02", "--g-tilde", "0.005"], None,
+                    "14517bde9eb168df5f64e71d191e9f70a119a3a9d4f1e8bb1ad6d9c932e0f2fc"),
+    "zeno_n50_summary": (["three-level-zeno", "--omega", "0.05", "--eta", "-0.2",
+                          "--t-total", "5.0", "--n", "50"], None,
+                         "29ac8a25c879481c95a18b353b455e2317091e799920fd5754f534a329bc5b5b"),
+    "tunneling_g0_summary": (["tunneling", "--omega", "0.05", "--eta", "-0.2", "--gamma", "0.0",
+                              "--t-total", "5.0"], None,
+                             "e46d09ac694913b996df33559d6f7a9de25b5826c246613e54baa69a7d976b93"),
+    "sweep_omega_summary": (["sweep"], {"axis": "omega", "axis_values": [0.02, 0.05],
+                                        "omega": 0.05, "eta": -0.2, "t_total": 5.0, "n": 50},
+                            "dccc757489ba2254a8c54f80c7ba80539f0f455276e58142010c5bb8c278413f"),
 }
+
+# The entries that write no CSV.
+WRITES_NO_CSV = {"ncrit", "ghz_summary", "zeno_n50_summary", "tunneling_g0_summary",
+                 "sweep_omega_summary"}
 
 
 # The Zeno modes' bytes when every kept-state column is a product of binary
@@ -160,7 +216,7 @@ def output_digest(mode, tmp_path, capsys):
     argv, config, _ = BYTE_CONTRACT[mode]
     if config is not None:
         argv = argv + ["--config", write_config(tmp_path, **config)]
-    if mode == "ncrit":
+    if mode in WRITES_NO_CSV:
         assert main(argv) == 0
         blob = capsys.readouterr().out.encode()
     else:

@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 import zenosim
+from zenosim.cli import build_parser
+from zenosim.report import MODES
+
 from test_cli import run_python
 
 # zenosim.cli defines no __all__: its interface is the command line.
@@ -75,3 +78,18 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     exec(compile(code, "README.md (Library quick start)", "exec"), {})
     assert capsys.readouterr().out.count("\n") == code.count("print(")
+
+
+def test_readme_lists_every_override_flag():
+    line = next(line for line in README.read_text(encoding="utf-8").splitlines()
+                if line.startswith("Override flags: "))
+    listed = line.split("`")[1].split()
+    options = [opt for action in build_parser()._actions for opt in action.option_strings
+               if opt not in ("-h", "--help", "--config")]
+    assert listed == options
+
+
+def test_readme_schema_table_lists_every_mode():
+    section = README.read_text(encoding="utf-8").split("\n### Config schema\n", 1)[1]
+    rows = [line for line in section.split("\n#", 1)[0].splitlines() if line.startswith("| `")]
+    assert [row.split("`")[1] for row in rows] == list(MODES)

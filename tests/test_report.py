@@ -226,6 +226,18 @@ class TestConfigValidation:
             "config error: dt must be positive and finite, got -0.1\n")
         assert not out.exists()
 
+    # t_total / n rounds to 0 at the largest n each config runs, as it does in
+    # three_level_zeno with n = 2 and t_total = 5e-324.
+    @pytest.mark.parametrize("keys", [
+        {"mode": "ncrit", "n_max": 5},
+        {"mode": "sweep", "axis": "n", "axis_values": [1, 2]},
+        {"mode": "sweep", "axis": "omega", "axis_values": [0.01, 0.02], "n": 2},
+    ], ids=["ncrit", "sweep_n", "sweep_omega"])
+    def test_zeno_step_rounding_to_zero_is_a_config_error(self, keys, tmp_path, capsys):
+        assert run_scenario(write_config(tmp_path, omega=0.05, t_total=5e-324, **keys)) == 1
+        assert capsys.readouterr() == (
+            "", "config error: dt must be positive and finite, got 0.0\n")
+
     def test_rejects_negative_parameters(self):
         with pytest.raises(ConfigError):
             validate_config({"mode": "no_zeno", "omega": -0.05, "t_total": 5.0})
