@@ -3,10 +3,11 @@
 Configs are flat JSON objects with an explicit per-mode schema; unknown and
 misplaced keys are rejected up front so a typo in a physics parameter can
 never run silently.  Each mode is one entry of `_MODES`: the keys it
-accepts and requires, a check that may resolve derived values, and the
-runner that emits its CSV and returns its summary.  The coerced values fill
-`ScenarioConfig` by key name.  All numeric output has 17 significant digits,
-which round-trips float64 exactly and keeps regression diffs meaningful.
+accepts and requires, a check of how they combine, and the runner that
+emits its CSV and returns its summary.  `_runs` expands a config into its
+engine runs, which the row budget, the value checks and `sweep` read.  The
+coerced values fill `ScenarioConfig` by key name.  All numeric output has 17
+significant digits, which round-trips float64 exactly and keeps regression diffs meaningful.
 """
 
 from __future__ import annotations
@@ -156,17 +157,9 @@ SWEEP_AXES = tuple(_SWEEP_AXIS_REQUIRED)
 
 
 def _resolve_schedule(values: dict) -> None:
-    """Zeno modes take exactly one of dt and t_total; resolve `schedule` and `t_total` from n."""
+    """Zeno modes take exactly one of dt and t_total; the run check resolves `schedule`."""
     if ("dt" in values) == ("t_total" in values):
         raise ConfigError(f"mode {values['mode']!r} needs exactly one of 'dt' or 't_total'")
-    if values.get("t_total", 1) <= 0:  # named before the dt it would give
-        raise ConfigError("t_total must be positive")
-    dt = values["dt"] if "dt" in values else values["t_total"] / values["n"]
-    try:
-        schedule = ZenoSchedule(n=values["n"], dt=dt)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    values["schedule"], values["t_total"] = schedule, schedule.t_total
 
 
 def _check_ghz(values: dict) -> None:
@@ -186,15 +179,16 @@ def _check_sweep(values: dict) -> None:
     diffs = np.diff(values["axis_values"])
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("axis_values must be strictly monotone")
-    for x in values["axis_values"]:
-        if axis == "n" and (x < 1 or not float(x).is_integer()):
-            raise ConfigError(f"n grid values must be positive integers, got {x!r}")
-        if axis == "dt" and x <= 0:
-            raise ConfigError(f"dt grid values must be positive, got {x!r}")
-        if axis == "dt" and not math.isfinite(values["n"] * x):
-            raise ConfigError(f"n*dt must be finite, got n={values['n']} dt={x!r}")
-        if axis in ("omega", "gamma") and x < 0:
-            raise ConfigError(f"{axis} grid values must be >= 0, got {x!r}")
+
+
+def _runs(values: dict) -> Iterable[dict]:
+    """The keys of each engine run a config makes: per grid value of a sweep on a known axis,
+    the config with that key set to it (an integral n as an int); ncrit's at n_max; else it."""
+    if values["mode"] == "sweep" and values["axis"] in SWEEP_AXES:
+        axis = values["axis"]
+        return ({**values, axis: int(x) if axis == "n" and float(x).is_integer() else x}
+                for x in values["axis_values"])
+    return [{**values, "n": values["n_max"]} if values["mode"] == "ncrit" else values]
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -223,7 +217,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         )
 
     # Every count a run uses is resolved, checked and budgeted before the
-    # mode's own check, which does float arithmetic with n.
+    # mode and run checks, which do float arithmetic with n.
     if "samples" in entry.keys:
         values.setdefault("samples", DEFAULT_SAMPLES)
     if "steps" in entry.keys and "steps" not in values:
@@ -237,11 +231,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
         if key in values and values[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {values[key]}")
 
-    # A run builds one row more than its intervals; an n grid stands in for n,
-    # and the end-value runs of sweep and ncrit have one interval.
-    grid = values["axis_values"] if values.get("axis") == "n" else [values.get("n", 1)]
-    rows = 1 + max(*map(int, grid), values.get("steps", 1), values.get("samples", 2) - 1,
-                   values.get("n_max", 1))
+    # A run builds one row more than its intervals; the end-value runs of
+    # sweep and ncrit have one interval.
+    rows = 1 + max(max(run.get("n", 1), run.get("steps", 1), run.get("samples", 2) - 1)
+                   for run in _runs(values))
     if rows > MAX_TRACE_ROWS:
         try:
             count = str(rows)
@@ -252,19 +245,20 @@ def validate_config(raw: dict) -> ScenarioConfig:
         )
 
     entry.check(values)
-    if values.get("t_total", 1) <= 0:
-        raise ConfigError("t_total must be positive")
-    for key in ("omega", "gamma"):
-        if values.get(key, 0) < 0:
-            raise ConfigError(f"{key} must be >= 0, got {values[key]}")
-    # A sweep's or ncrit's smallest Zeno step, at its largest n, is checked as
-    # a Zeno mode's; n = 1 (dt = t_total) where the config runs no Zeno step.
-    if mode in ("sweep", "ncrit") and "t_total" in values:
-        n = max(*map(int, grid), values.get("n_max", 1))
-        try:
-            ZenoSchedule(n=n, dt=values["t_total"] / n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    # Each run is checked alone; a Zeno mode's run, the config, keeps its schedule and T.
+    for run in _runs(values):
+        if run.get("t_total", 1) <= 0:  # named before the dt it would give
+            raise ConfigError("t_total must be positive")
+        if "n" in run:
+            try:
+                n = _check_count("n", run["n"])
+                run["schedule"] = ZenoSchedule(n, run["dt"] if "dt" in run else run["t_total"] / n)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            run["t_total"] = run["schedule"].t_total
+        for key in ("omega", "gamma"):
+            if run.get(key, 0) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {run[key]}")
 
     return ScenarioConfig(**{key: values[key] for key in ScenarioConfig._fields if key in values})
 
@@ -316,8 +310,8 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     count is available, w_tunnel when a tunneling rate is available.  Points
     run in grid order.
     """
-    if cfg.mode != "sweep":
-        raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r}")
+    if cfg.mode != "sweep" or cfg.axis not in SWEEP_AXES:
+        raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r} on axis {cfg.axis!r}")
     psi0 = [1, 0, 0]
 
     # Each variant is cached on the values it depends on: w_zeno on
@@ -339,13 +333,10 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
         return float(run_tunneling(h, psi0, t_total, steps=1).final_survival)
 
     records = []
-    for value in cfg.axis_values:
-        omega = value if cfg.axis == "omega" else cfg.omega
-        gamma = value if cfg.axis == "gamma" else cfg.gamma
-        n = int(value) if cfg.axis == "n" else cfg.n
-        t_total = n * value if cfg.axis == "dt" else cfg.t_total
-
-        zeno = None if n is None else w_zeno(omega, n, value if cfg.axis == "dt" else t_total / n)
+    for run in _runs(cfg._asdict()):
+        omega, n, gamma = run["omega"], run.get("n"), run.get("gamma")
+        t_total = n * run["dt"] if "dt" in run else run["t_total"]
+        zeno = None if n is None else w_zeno(omega, n, run.get("dt", t_total / n))
         records.append((zeno, w_no_zeno(omega, t_total),
                         None if gamma is None else w_tunnel(omega, gamma, t_total)))
     return SweepResult(axis=cfg.axis, grid=tuple(cfg.axis_values), records=records)
@@ -510,8 +501,8 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
 class _Mode(NamedTuple):
     """One mode: its one-line help, the keys it accepts besides `mode`, the keys
     it requires, the runner that writes its CSV (when `out` is set) and returns
-    the summary after `mode=<name>`, and a check of the coerced values that
-    may resolve derived values into them (a Zeno mode's schedule)."""
+    the summary after `mode=<name>`, and a check of how the coerced values
+    combine, made before each run's own checks."""
 
     help: str
     keys: set[str]

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -476,6 +477,15 @@ class TestTraceInvariants:
     def test_survival_non_increasing(self):
         for trace in self._traces():
             assert np.all(np.diff(trace.survival) <= 1e-10)
+
+    def test_an_unknown_attribute_is_an_attribute_error(self):
+        trace = run_unitary(build_three_level(OMEGA, PHI_Y, ETA), ground_state(3), 5.0, samples=5)
+        with pytest.raises(AttributeError, match="'bogus'"):
+            trace.bogus  # noqa: B018
+        assert not hasattr(trace, "bogus") and getattr(trace, "bogus", 3) == 3
+        for twin in (copy.copy(trace), copy.deepcopy(trace)):
+            assert twin.rows == trace.rows == 5
+            assert twin.final_survival == trace.final_survival
 
     def test_no_zeno_baseline_regression(self):
         h = build_three_level(OMEGA, PHI_Y, ETA)

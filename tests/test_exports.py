@@ -5,7 +5,7 @@ import pytest
 
 import zenosim
 from zenosim.cli import build_parser
-from zenosim.report import MODES
+from zenosim.report import _SWEEP_AXIS_REQUIRED, MODES
 
 from test_cli import run_python
 
@@ -93,3 +93,13 @@ def test_readme_schema_table_lists_every_mode():
     section = README.read_text(encoding="utf-8").split("\n### Config schema\n", 1)[1]
     rows = [line for line in section.split("\n#", 1)[0].splitlines() if line.startswith("| `")]
     assert [row.split("`")[1] for row in rows] == list(MODES)
+
+
+def test_readme_sweep_axes_name_their_required_keys():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sentence = text.split("Sweep axes: ", 1)[1].split(". ", 1)[0]
+    axes = {}
+    for item in sentence.split("), "):
+        axis, needs = item.split(" (needs ", 1)
+        axes[axis.strip("`")] = {key.strip("`);") for key in needs.split(";")[0].split(", ")}
+    assert axes == _SWEEP_AXIS_REQUIRED

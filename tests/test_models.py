@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zenosim.ghz import run_ghz_protocol
 from zenosim.linalg import mat_exp
 from zenosim.models import (
     build_ghz_hamiltonian,
@@ -194,3 +195,15 @@ class TestGhzHamiltonian:
 def test_builders_return_hermitian(builder):
     h = builder()
     assert np.max(np.abs(h - h.conj().T)) <= 1e-15
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: build_two_level(math.nan), "v must be finite, got nan"),
+    (lambda: build_three_level(0.05, math.inf, ETA), "phi must be finite, got inf"),
+    (lambda: build_tunneling(0.05, ETA, math.nan), "gamma must be finite, got nan"),
+    (lambda: run_ghz_protocol(math.nan, 0.0), "g must be finite, got nan"),
+], ids=["two_level", "three_level", "tunneling", "ghz"])
+def test_builders_reject_non_finite_parameters(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -156,7 +156,7 @@ class TestConfigValidation:
         "empty_axis_values": ({"mode": "sweep", "axis": "n", "axis_values": [], "omega": 0.05,
                                "t_total": 5.0}, "key 'axis_values' must be a non-empty list"),
         "negative_dt_grid": ({"mode": "sweep", "axis": "dt", "axis_values": [-0.2, -0.1],
-                              "omega": 0.05, "n": 50}, "dt grid values must be positive"),
+                              "omega": 0.05, "n": 50}, "dt must be positive and finite, got -0.2"),
         "one_sample": ({"mode": "no_zeno", "omega": 0.05, "t_total": 5.0, "samples": 1},
                        "samples must be >= 2"),
         "nan_eta": ({"mode": "no_zeno", "omega": 0.05, "eta": math.nan, "t_total": 5.0},
@@ -237,6 +237,29 @@ class TestConfigValidation:
         assert run_scenario(write_config(tmp_path, omega=0.05, t_total=5e-324, **keys)) == 1
         assert capsys.readouterr() == (
             "", "config error: dt must be positive and finite, got 0.0\n")
+
+    # Each sweep and the single-mode config that its failing grid point is.
+    SWEEP_POINT_RUNS = {
+        "omega": ({"axis": "omega", "axis_values": [-0.2, -0.1], "t_total": 5.0},
+                  {"mode": "no_zeno", "omega": -0.2, "t_total": 5.0}),
+        "gamma": ({"axis": "gamma", "axis_values": [-1.0, 2.0], "omega": 0.05, "t_total": 5.0},
+                  {"mode": "tunneling", "omega": 0.05, "gamma": -1.0, "t_total": 5.0}),
+        "negative_dt": ({"axis": "dt", "axis_values": [-0.2, -0.1], "omega": 0.05, "n": 50},
+                        {"mode": "three_level_zeno", "omega": 0.05, "n": 50, "dt": -0.2}),
+        "overflowing_dt": ({"axis": "dt", "axis_values": [0.1, 1e308], "omega": 0.05, "n": 3},
+                           {"mode": "three_level_zeno", "omega": 0.05, "n": 3, "dt": 1e308}),
+        "n": ({"axis": "n", "axis_values": [1, 2], "omega": 0.05, "t_total": 5e-324},
+              {"mode": "three_level_zeno", "omega": 0.05, "n": 2, "t_total": 5e-324}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_POINT_RUNS))
+    def test_a_sweep_point_fails_as_its_single_run_fails(self, case):
+        keys, single = self.SWEEP_POINT_RUNS[case]
+        with pytest.raises(ConfigError) as point:
+            validate_config({"mode": "sweep", **keys})
+        with pytest.raises(ConfigError) as run:
+            validate_config(single)
+        assert str(point.value) == str(run.value)
 
     def test_rejects_negative_parameters(self):
         with pytest.raises(ConfigError):
@@ -326,6 +349,9 @@ class TestConfigValidation:
           "t_total": 5.0, "n": 7}, 8),
         ({"mode": "sweep", "axis": "gamma", "axis_values": [0.0, 40.0], "omega": OMEGA,
           "t_total": 5.0}, 2),
+        ({"mode": "sweep", "axis": "dt", "axis_values": [0.1, 0.2], "omega": OMEGA, "n": 7}, 8),
+        ({"mode": "sweep", "axis": "omega", "axis_values": [0.01, 0.05], "t_total": 5.0,
+          "n": 7}, 8),
         ({"mode": "ncrit", "omega": OMEGA, "t_total": 5.0, "n_max": 7}, 8),
     ]
 
@@ -572,6 +598,12 @@ class TestSweep:
     def test_rejects_a_config_of_another_mode(self):
         cfg = validate_config({"mode": "no_zeno", "omega": 0.05, "t_total": 5.0})
         with pytest.raises(ConfigError, match="sweep-mode config, got 'no_zeno'"):
+            sweep(cfg)
+
+    def test_rejects_an_unknown_axis(self):
+        cfg = report.ScenarioConfig(mode="sweep", axis="phi", axis_values=(1.0, 2.0),
+                                    omega=0.05, t_total=5.0)
+        with pytest.raises(ConfigError, match="got 'sweep' on axis 'phi'"):
             sweep(cfg)
 
     def test_single_point_matches_direct_call(self):
