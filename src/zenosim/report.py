@@ -3,8 +3,10 @@
 Configs are flat JSON objects with an explicit per-mode schema; unknown and
 misplaced keys are rejected up front so a typo in a physics parameter can
 never run silently.  Each mode is one entry of `_MODES`: the keys it
-accepts and requires, a check of how they combine, and the runner that
-emits its CSV and returns its summary.  `_runs` expands a config into its
+accepts and requires, a check of how they combine, a trace mode's one
+engine call, and the runner that emits its CSV and returns its summary.
+Every trace mode shares one runner, and each `sweep` variant is the end
+value of a trace mode's engine call.  `_runs` expands a config into its
 engine runs, which the row budget, the value checks and `sweep` read.  The
 coerced values fill `ScenarioConfig` by key name.  All numeric output has 17
 significant digits, which round-trips float64 exactly and keeps regression diffs meaningful.
@@ -165,6 +167,10 @@ def _resolve_schedule(values: dict) -> None:
 def _check_ghz(values: dict) -> None:
     if values["g"] == values["g_tilde"]:
         raise ConfigError("ghz requires g != g_tilde (entangling time diverges)")
+    try:
+        entangling_time(values["g"], values["g_tilde"])
+    except ValueError as exc:  # |g - g_tilde| past the float range, or too small to divide by
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_sweep(values: dict) -> None:
@@ -312,33 +318,21 @@ def sweep(cfg: ScenarioConfig) -> SweepResult:
     """
     if cfg.mode != "sweep" or cfg.axis not in SWEEP_AXES:
         raise ConfigError(f"sweep needs a sweep-mode config, got {cfg.mode!r} on axis {cfg.axis!r}")
-    psi0 = [1, 0, 0]
-
-    # Each variant is cached on the values it depends on: w_zeno on
-    # (omega, n, dt), w_no_zeno on (omega, T) and w_tunnel on (omega, gamma, T),
-    # so grid points that share those values share one run.
-    @functools.cache
-    def w_zeno(omega: float, n: int, dt: float) -> float:
-        h = build_three_level(omega, DEFAULT_PHI, cfg.eta)
-        return float(run_zeno(h, psi0, ZenoSchedule(n=n, dt=dt)).final_survival)
-
-    @functools.cache
-    def w_no_zeno(omega: float, t_total: float) -> float:
-        h = build_three_level(omega, DEFAULT_PHI, cfg.eta)
-        return float(run_unitary(h, psi0, t_total, samples=2).final_survival)
-
-    @functools.cache
-    def w_tunnel(omega: float, gamma: float, t_total: float) -> float:
-        h = build_tunneling(omega, cfg.eta, gamma)
-        return float(run_tunneling(h, psi0, t_total, steps=1).final_survival)
-
+    # Each variant is the end value of its single-mode run, cached on that run's
+    # config, which holds only what the run depends on: grid points that share
+    # it share one run.
+    end = functools.cache(lambda run_cfg: float(_MODES[run_cfg.mode].trace(run_cfg).final_survival))
     records = []
     for run in _runs(cfg._asdict()):
         omega, n, gamma = run["omega"], run.get("n"), run.get("gamma")
         t_total = n * run["dt"] if "dt" in run else run["t_total"]
-        zeno = None if n is None else w_zeno(omega, n, run.get("dt", t_total / n))
-        records.append((zeno, w_no_zeno(omega, t_total),
-                        None if gamma is None else w_tunnel(omega, gamma, t_total)))
+        same = {"omega": omega, "eta": cfg.eta}
+        records.append(tuple(None if variant is None else end(variant) for variant in (
+            None if n is None else ScenarioConfig(
+                "three_level_zeno", ZenoSchedule(n, run.get("dt", t_total / n)), **same),
+            ScenarioConfig("no_zeno", t_total=t_total, samples=2, **same),
+            None if gamma is None else ScenarioConfig(
+                "tunneling", t_total=t_total, steps=1, gamma=gamma, **same))))
     return SweepResult(axis=cfg.axis, grid=tuple(cfg.axis_values), records=records)
 
 
@@ -443,32 +437,11 @@ def _emit_ghz_csv(psi: np.ndarray, path) -> None:
     ))
 
 
-def _emit_trace(cfg: ScenarioConfig, trace: SimulationTrace) -> str:
+def _run_trace(cfg: ScenarioConfig) -> str:
+    trace = _MODES[cfg.mode].trace(cfg)
     if cfg.out:
         emit_trace_csv(trace, cfg.out)
     return f"T={_fmt(cfg.t_total)} W={_fmt(trace.final_survival)}"
-
-
-# Runners look the engine, builders and emitters up by module-level name at
-# call time, so a caller may wrap those names (as a tracer does).
-def _run_two_level_zeno(cfg: ScenarioConfig) -> str:
-    h = build_two_level(cfg.v)
-    return _emit_trace(cfg, run_zeno(h, [1, 0], cfg.schedule))
-
-
-def _run_three_level_zeno(cfg: ScenarioConfig) -> str:
-    h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
-    return _emit_trace(cfg, run_zeno(h, [1, 0, 0], cfg.schedule))
-
-
-def _run_no_zeno(cfg: ScenarioConfig) -> str:
-    h = build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta)
-    return _emit_trace(cfg, run_unitary(h, [1, 0, 0], cfg.t_total, samples=cfg.samples))
-
-
-def _run_tunneling(cfg: ScenarioConfig) -> str:
-    h = build_tunneling(cfg.omega, cfg.eta, cfg.gamma)
-    return _emit_trace(cfg, run_tunneling(h, [1, 0, 0], cfg.t_total, steps=cfg.steps))
 
 
 def _run_ghz(cfg: ScenarioConfig) -> str:
@@ -500,39 +473,50 @@ def _run_ncrit(cfg: ScenarioConfig) -> str:
 
 class _Mode(NamedTuple):
     """One mode: its one-line help, the keys it accepts besides `mode`, the keys
-    it requires, the runner that writes its CSV (when `out` is set) and returns
-    the summary after `mode=<name>`, and a check of how the coerced values
-    combine, made before each run's own checks."""
+    it requires, a check of how the coerced values combine (made before each
+    run's own checks), a trace mode's one engine call from the ground state,
+    and the runner that writes its CSV (when `out` is set) and returns the
+    summary after `mode=<name>`; a trace mode's runner is `_run_trace`."""
 
     help: str
     keys: set[str]
     required: set[str]
-    run: Callable[[ScenarioConfig], str]
     check: Callable[[dict], None] = lambda values: None
+    trace: Callable[[ScenarioConfig], SimulationTrace] | None = None
+    run: Callable[[ScenarioConfig], str] = _run_trace
 
 
+# Each trace looks the engine and builders up by module-level name at call
+# time, so a caller may wrap those names (as a tracer does).
 _MODES = {
-    "two_level_zeno": _Mode("two-level toy model under repeated projective checks",
-                            {"v", "n", "dt", "t_total", "out"}, {"v", "n"},
-                            _run_two_level_zeno, _resolve_schedule),
-    "three_level_zeno": _Mode("driven three-level qubit under repeated leak measurements",
-                              {"omega", "eta", "n", "dt", "t_total", "out"},
-                              {"omega", "n"}, _run_three_level_zeno, _resolve_schedule),
-    "no_zeno": _Mode("exact unmeasured evolution of the driven three-level qubit",
-                     {"omega", "eta", "t_total", "samples", "out"},
-                     {"omega", "t_total"}, _run_no_zeno),
-    "tunneling": _Mode("continuous measurement via a decaying top level",
-                       {"omega", "eta", "gamma", "t_total", "steps", "out"},
-                       {"omega", "gamma", "t_total"}, _run_tunneling),
+    "two_level_zeno": _Mode(
+        "two-level toy model under repeated projective checks",
+        {"v", "n", "dt", "t_total", "out"}, {"v", "n"}, _resolve_schedule,
+        lambda cfg: run_zeno(build_two_level(cfg.v), [1, 0], cfg.schedule)),
+    "three_level_zeno": _Mode(
+        "driven three-level qubit under repeated leak measurements",
+        {"omega", "eta", "n", "dt", "t_total", "out"}, {"omega", "n"}, _resolve_schedule,
+        lambda cfg: run_zeno(build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta), [1, 0, 0],
+                             cfg.schedule)),
+    "no_zeno": _Mode(
+        "exact unmeasured evolution of the driven three-level qubit",
+        {"omega", "eta", "t_total", "samples", "out"}, {"omega", "t_total"},
+        trace=lambda cfg: run_unitary(build_three_level(cfg.omega, DEFAULT_PHI, cfg.eta),
+                                      [1, 0, 0], cfg.t_total, samples=cfg.samples)),
+    "tunneling": _Mode(
+        "continuous measurement via a decaying top level",
+        {"omega", "eta", "gamma", "t_total", "steps", "out"}, {"omega", "gamma", "t_total"},
+        trace=lambda cfg: run_tunneling(build_tunneling(cfg.omega, cfg.eta, cfg.gamma),
+                                        [1, 0, 0], cfg.t_total, steps=cfg.steps)),
     "ghz": _Mode("single-step three-qubit GHZ preparation",
-                 {"g", "g_tilde", "out"}, {"g", "g_tilde"}, _run_ghz, _check_ghz),
+                 {"g", "g_tilde", "out"}, {"g", "g_tilde"}, _check_ghz, run=_run_ghz),
     "sweep": _Mode("survival probabilities along a parameter grid",
                    {"axis", "axis_values", "omega", "eta", "gamma", "n", "t_total", "out"},
-                   {"axis", "axis_values"}, _run_sweep, _check_sweep),
+                   {"axis", "axis_values"}, _check_sweep, run=_run_sweep),
     # ncrit has no file output, so it takes no `out`.
     "ncrit": _Mode("smallest measurement count beating the unmeasured survival",
                    {"omega", "eta", "t_total", "n_max"},
-                   {"omega", "t_total", "n_max"}, _run_ncrit),
+                   {"omega", "t_total", "n_max"}, run=_run_ncrit),
 }
 
 # Each mode name, in declaration order, with its one-line description.

@@ -1,11 +1,12 @@
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import zenosim
 from zenosim.cli import build_parser
-from zenosim.report import _SWEEP_AXIS_REQUIRED, MODES
+from zenosim.report import _MODES, _SWEEP_AXIS_REQUIRED, MODES
 
 from test_cli import run_python
 
@@ -93,6 +94,17 @@ def test_readme_schema_table_lists_every_mode():
     section = README.read_text(encoding="utf-8").split("\n### Config schema\n", 1)[1]
     rows = [line for line in section.split("\n#", 1)[0].splitlines() if line.startswith("| `")]
     assert [row.split("`")[1] for row in rows] == list(MODES)
+    # Each row's required and optional cells name exactly the keys its mode
+    # accepts; a sweep's axis needs are named in the axes sentence instead.
+    axis_needs = set().union(*_SWEEP_AXIS_REQUIRED.values())
+    for row in rows:
+        mode, required, optional = (cell.strip() for cell in row.strip().strip("|").split("|"))
+        mode = mode.strip("`")
+        named = set(re.findall(r"`(\w+)`", required + optional))
+        keys = _MODES[mode].keys
+        assert named <= keys, f"{mode}: {sorted(named - keys)}"
+        unnamed = keys - named - (axis_needs if mode == "sweep" else set())
+        assert not unnamed, f"{mode}: {sorted(unnamed)}"
 
 
 def test_readme_sweep_axes_name_their_required_keys():

@@ -84,12 +84,13 @@ class TestEntanglingTime:
 
     @pytest.mark.parametrize("g,g_tilde", [(1e-320, 0.0), (1e308, -1e308)])
     def test_rejects_a_time_past_the_float_range(self, g, g_tilde, capsys):
-        # pi / (2|g - g_tilde|) is inf for the first pair and 0 for the second
+        # pi / (2|g - g_tilde|) is inf for the first pair and 0 for the second;
+        # the couplings alone decide it, so the CLI rejects them as a config error
         with pytest.raises(ValueError, match="not finite and positive"):
             entangling_time(g, g_tilde)
-        assert main(["ghz", f"--g={g!r}", f"--g-tilde={g_tilde!r}"]) == 2
+        assert main(["ghz", f"--g={g!r}", f"--g-tilde={g_tilde!r}"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: entangling time") and f"g = {g!r}" in err
+        assert err.startswith("config error: entangling time") and f"g = {g!r}" in err
 
 
 class TestProtocol:

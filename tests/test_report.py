@@ -143,6 +143,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="g != g_tilde"):
             validate_config({"mode": "ghz", "g": 0.02, "g_tilde": 0.02})
 
+    @pytest.mark.parametrize("couplings", [
+        ["--g", "1e-320", "--g-tilde", "0"],
+        ["--g", "1e-320", "--g-tilde=-1e-320"],
+        {"g": 1e308, "g_tilde": -1e308},
+    ], ids=["inf", "inf_of_a_difference", "zero"])
+    def test_ghz_entangling_time_is_checked_with_the_config(self, couplings, tmp_path, capsys):
+        # pi / (2|g - g_tilde|) is inf for the first two and 0 for the last
+        out = tmp_path / "never.csv"
+        if isinstance(couplings, dict):
+            couplings = ["--config", write_config(tmp_path, mode="ghz", **couplings)]
+        assert cli.main(["ghz", *couplings, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: entangling time")
+        assert not out.exists()
+
     def test_rejects_bool_as_number(self):
         with pytest.raises(ConfigError):
             validate_config({"mode": "no_zeno", "omega": True, "t_total": 5.0})
@@ -715,6 +729,30 @@ class TestSweep:
         direct = run_zeno(h, ground_state(), ZenoSchedule(50, 0.05))
         assert result.records[0][0] == direct.survival[-1]
 
+    # Each axis with `gamma` set and, where the axis allows, `n`.
+    POINT_KEYS = {
+        "n": {"axis_values": [10, 50, 400], "omega": OMEGA, "t_total": 5.0, "gamma": 40.0},
+        "gamma": {"axis_values": [0.0, 4.0, 40.0], "omega": OMEGA, "t_total": 5.0, "n": 50},
+        "omega": {"axis_values": [0.01, 0.05, 0.13], "t_total": 5.0, "gamma": 40.0, "n": 50},
+        "dt": {"axis_values": [0.03, 0.1, 0.3], "omega": OMEGA, "n": 50, "gamma": 40.0},
+    }
+
+    @pytest.mark.parametrize("axis", sorted(POINT_KEYS))
+    def test_a_point_is_its_three_single_mode_runs(self, axis, capsys):
+        keys = self.POINT_KEYS[axis]
+        records = sweep(validate_config({"mode": "sweep", "axis": axis, **keys})).records
+        for value, record in zip(keys["axis_values"], records):
+            point = {**keys, axis: value}
+            t_total = point["n"] * point["dt"] if axis == "dt" else point["t_total"]
+            zeno_time = {"dt": value} if axis == "dt" else {"t_total": t_total}
+            runs = [("three_level_zeno", {"omega": point["omega"], "n": point["n"], **zeno_time}),
+                    ("no_zeno", {"omega": point["omega"], "t_total": t_total}),
+                    ("tunneling", {"omega": point["omega"], "gamma": point["gamma"],
+                                   "t_total": t_total})]
+            for (mode, run_keys), w in zip(runs, record):
+                assert run_scenario(mode=mode, overrides=run_keys) == 0
+                assert w == float(capsys.readouterr().out.split(" W=")[1]), (value, mode)
+
     def test_omega_sweep(self):
         cfg = validate_config(
             {"mode": "sweep", "axis": "omega", "axis_values": [0.0, 0.05, 0.1],
@@ -1129,6 +1167,24 @@ class TestCsvWriter:
         reader.join(timeout=30)
         assert status == 0, capsys.readouterr().err
         assert received == [expected]
+        assert os.listdir(tmp_path) == ["expected"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_file_whose_name_is_gone_is_written_in_place(self, tmp_path):
+        # /dev/fd/N of an unlinked file resolves to no name that leads to it,
+        # so there is nothing beside it to replace it with
+        expected = self.expected_bytes(tmp_path)
+        gone = tmp_path / "gone.csv"
+        fd = os.open(gone, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+        try:
+            os.unlink(gone)
+            emit_trace_csv(self.small_trace(), f"/dev/fd/{fd}")
+            with open(fd, "rb", closefd=False) as fh:
+                fh.seek(0)
+                received = fh.read()
+        finally:
+            os.close(fd)
+        assert received == expected
         assert os.listdir(tmp_path) == ["expected"]
 
 
