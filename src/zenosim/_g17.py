@@ -8,13 +8,14 @@ The kernel formats a whole block at once.  A cell x with 1e-280 <= |x| <=
 10**(16 - k)), 10**16 <= D < 10**17.  The power of ten is split into hi + lo
 from exact integers, and |x| * hi is formed exactly by Dekker's two-product
 (Numer. Math. 18, 224, 1971), so the fraction of |x| * 10**(16 - k) is known
-to about 5e-15.  Each cell is then laid out from one row of a layout table,
-chosen by the `%g` notation for k, the position of D's last nonzero digit
-and the sign.  A cell whose fraction is within `_TIE` of 1/2, one whose
+to about 5e-15.  Each cell's bytes are written in output order, four digits
+a word, and a keep-mask, chosen by the `%g` notation for k, the position of
+D's last nonzero digit and the sign, zeroes those it does not print, which
+are then deleted.  A cell whose fraction is within `_TIE` of 1/2, one whose
 log10 rounded across a power of ten, and one that is non-finite or out of
 that range goes through `%.17g` itself (`_fallback`); a zero is written as
-`0` or `-0`.  Tables are built on first use, for the exponents and layouts
-a block meets, so importing this module builds no table row.
+`0` or `-0`.  Tables are built on first use, masks for the layouts a block
+meets, so importing this module builds no table row.
 """
 
 from __future__ import annotations
@@ -31,20 +32,18 @@ _TIE = 1e-13
 # floor(log10|x|) over the kernel's range; log10(1e-280) may round below -280.
 _K_MIN, _K_MAX = -281, 280
 
-# Each cell gets 32 source bytes: 2 unused, '0', its 17 digits, '0' and the 3
-# digits of |k|, the separator, '.', '-', '0', 'e', '+', the NUL that pads a
-# layout and the mark left where a fallback cell goes.
-_DIGIT0, _SEP = 3, 24
-_DOT, _MINUS, _ZERO, _E, _PLUS, _PAD, _MARK = range(25, 32)
-_TAIL = b",.-0e+\0\x01"
+# A cell's source row, in output order: '-', '0.000', D's 17 digits each with a
+# '.' slot after it, 'e+-', the 3 digits of |k|, the mark left where a fallback
+# cell goes and the separator.  Constant bytes are written when a buffer is made.
+_ROW = b"-0.000" + b"0." * 17 + b"e+-000\x01,"
+_MINUS, _LEAD, _DIGIT0, _E, _K0, _MARK, _SEP = 0, 1, 6, 40, 43, 46, 47
+_WIDTH = len(_ROW)
 # Layout kinds: 0-20 for fixed notation at k = -4..16; 21-24 for exponent
 # notation at k < -4 with 2 or 3 exponent digits, then k >= 17 with 2 or 3;
 # then a zero and a fallback cell.  A layout key is (kind * 17 + last) * 2 +
 # negative, where `last` indexes D's last nonzero digit.
 _EXP_KIND, _ZERO_KIND, _FALLBACK_KIND = 21, 25, 26
-# The longest cell, '-d.dddddddddddddddde-ddd', and its separator.
-_WIDTH = 25
-# Cells laid out per pass, an eighth of a 1,024-row block of 5 columns: 128 KB of index.
+# Cells masked per pass, an eighth of a 1,024-row block of 5 columns: 30 KB of mask.
 _PASS = 640
 
 
@@ -69,24 +68,24 @@ def _scale(key: int) -> tuple[float, float, float]:
     return (*_halves(hi), (num * b - a * den) / (den * b))
 
 
-def _layout(key: int) -> list[int]:
-    """The source bytes of one layout key, in order, padded to `_WIDTH`."""
+def _keep(key: int) -> list[int]:
+    """The keep-mask of one layout key: 255 at each source byte it prints."""
     kind, last, negative = key // 34, key // 2 % 17, key % 2
-    digit = list(range(_DIGIT0, _DIGIT0 + 17))
     point = kind - 4 if kind < _EXP_KIND else 0  # index of the digit before '.'
     if kind == _FALLBACK_KIND:
-        slots = [_MARK]
+        kept = [_MARK]
     elif kind == _ZERO_KIND:
-        slots = [_ZERO]
+        kept = [_LEAD]
     elif point < 0:
-        slots = [_ZERO, _DOT] + [_ZERO] * (-point - 1) + digit[:last + 1]
+        kept = [*range(_LEAD, _LEAD + 1 - point), *range(_DIGIT0, _DIGIT0 + 2 * last + 1, 2)]
     else:
-        slots = digit[:point + 1] + ([_DOT] + digit[point + 1:last + 1] if last > point else [])
+        kept = [*range(_DIGIT0, _DIGIT0 + 2 * max(last, point) + 1, 2)]
+        kept += [_DIGIT0 + 2 * point + 1] * (point < last)
         if kind >= _EXP_KIND:
             positive, three = divmod(kind - _EXP_KIND, 2)
-            slots += [_E, _PLUS if positive else _MINUS, *range(_SEP - 2 - three, _SEP)]
-    slots = [_MINUS] * negative + slots + [_SEP]
-    return slots + [_PAD] * (_WIDTH - len(slots))
+            kept += [_E, _E + 2 - positive, *range(_K0 + 1 - three, _MARK)]
+    kept = {_SEP, *kept, *[_MINUS] * negative}
+    return [255 * (i in kept) for i in range(_WIDTH)]
 
 
 class _LazyRows:
@@ -110,27 +109,35 @@ class _LazyRows:
 
 
 _SCALES = _LazyRows(_K_MAX - _K_MIN + 1, 3, np.float64, _scale)
-_LAYOUTS = _LazyRows(34 * (_FALLBACK_KIND + 1), _WIDTH, np.intp, _layout)
+_KEEPS = _LazyRows(34 * (_FALLBACK_KIND + 1), _WIDTH, np.uint8, _keep)
 
 
 @functools.cache
-def _digit_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """The two ASCII digits of each of 0..99 as one uint16, and for each pair
-    i = 0..7 of D's digits after its first (digits 2i + 1 and 2i + 2) the index
-    in D of the pair's last nonzero digit, 0 if it has none."""
-    v = np.arange(100)
-    ascii = np.stack([v // 10, v % 10], axis=1) + ord("0")
-    last = np.where(v % 10 > 0, 2, np.where(v > 0, 1, 0))
-    lasts = np.where(last > 0, last + 2 * v[:8, None], 0).astype(np.int8)
-    return ascii.astype(np.uint8).view(np.uint16).ravel(), lasts
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes 'd.d.d.d.' of each of 0..9999 as one uint64; for each group
+    i = 0..3 of D's digits 4i + 1 to 4i + 4, the index in D of its last nonzero
+    digit, 0 if none; the two ASCII digits of 0..99 as uint16.  Written in place,
+    as a temporary the size of a table would raise the peak."""
+    ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    words = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    lasts = np.zeros((4, 10, 10, 10, 10), np.int8)
+    for j in range(4):  # digit j of 0..9999 runs along axis j
+        words[..., 2 * j] = ascii.reshape(-1, *[1] * (3 - j))
+        for i in range(4):
+            lasts[(i, *[slice(None)] * j, slice(1, None))] = 4 * i + j + 1
+    pairs = words[0, 0, ..., 4::2].copy()  # 00dd for dd = 0..99
+    return words.view(np.uint64).ravel(), lasts.reshape(4, -1), pairs.view(np.uint16).ravel()
 
 
-def _kept(work: dict, name: str, shape: tuple[int, int], dtype) -> np.ndarray:
-    """An uninitialized array on a buffer that `work` keeps for the next block."""
+def _kept(work: dict, name: str, shape: tuple[int, int], dtype, row: bytes = b"") -> np.ndarray:
+    """An array on a buffer that `work` keeps for the next block: uninitialized,
+    or with each row set to `row` when the buffer is made."""
     size = shape[0] * shape[1]
     buf = work.get(name)
     if buf is None or buf.size < size:
         buf = work[name] = np.empty(size, dtype)
+        if row:
+            buf.reshape(-1, len(row))[:] = np.frombuffer(row, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -173,25 +180,24 @@ def format_block(block: np.ndarray, work: dict) -> str:
     x = block.ravel()
     k, d, ok = _digits(x)
 
-    # D in base 100, its last pair first and its first digit last, then |k|
-    # in base 100.  Each row goes through the pair tables as it is made, so
-    # no index array is widened whole; `last` ends as the index in D of its
-    # last nonzero digit.
-    words, lasts = _digit_pairs()
-    src = _kept(work, "src", (x.size, 16), np.uint16)
-    last = np.zeros(x.size, np.int8)
-    for i in range(8, 0, -1):
-        q = d // 100
-        d -= 100 * q
-        src[:, 1 + i] = words.take(d)
+    # A buffer per column count (a row's last cell ends in '\n').  D's digits
+    # after its first go in four a word, the last four first, then its first
+    # digit and |k|; `last` ends as the index in D of its last nonzero digit.
+    words, lasts, pairs = _digit_words()
+    src = _kept(work, f"src{cols}", (rows, cols * _WIDTH), np.uint8,
+                (_ROW * cols)[:-1] + b"\n").reshape(x.size, _WIDTH)
+    data, last = src.view(np.uint64), np.zeros(x.size, np.int8)
+    for i in range(4, 0, -1):
+        q = d // 10_000
+        d -= 10_000 * q
+        data[:, i] = words.take(d)
         np.maximum(last, lasts[i - 1].take(d), out=last)
         d = q
-    src[:, 1] = words.take(d)
-    src[:, 10:12] = words.take(np.divmod(np.abs(k), 100)).T
-    tail = np.empty((cols, 4), np.uint16)
-    tail[:] = np.frombuffer(_TAIL, np.uint16)
-    tail.view(np.uint8)[-1, 0] = ord("\n")
-    src.reshape(rows, cols, 16)[:, :, 12:] = tail
+    src[:, _DIGIT0] = d + ord("0")
+    hundreds = np.abs(k) // 100
+    src[:, _K0] = hundreds + ord("0")
+    src.view(np.uint16)[:, _K0 // 2 + 1] = pairs.take(np.abs(k) - 100 * hundreds)
+    del d, q, hundreds
 
     zero = x == 0
     kind = np.where((k >= -4) & (k < 17), k + 4, _EXP_KIND + 2 * (k > 0) + (np.abs(k) >= 100))
@@ -199,21 +205,15 @@ def format_block(block: np.ndarray, work: dict) -> str:
     fallback = np.flatnonzero(kind == _FALLBACK_KIND)
     key = (kind * 17 + np.where(ok, last, 0)) * 2 + (np.signbit(x) & (ok | zero))
     del k, ok, last, zero, kind
-    # Layout, byte gather and NUL compaction, _PASS cells at a time.  A layout
-    # key is below 34 * 27 and an index below 32 * cells (a layout's source
-    # bytes are 0-31), so "clip" and "wrap" move none; in the default mode
-    # "raise", numpy would buffer `out`.
-    layouts, data = _LAYOUTS.table(key), src.view(np.uint8).ravel()
-    offsets, pieces = np.arange(0, 32 * _PASS, 32)[:, None], []
+    # Mask and NUL delete, _PASS cells at a time.  Keys are below 34 * 27, so
+    # "clip" moves none; in the default mode "raise", numpy would buffer `out`.
+    keeps, pieces = _KEEPS.table(key).view(np.uint64), []
     for start in range(0, x.size, _PASS):
         keys = key[start:start + _PASS]
-        index = layouts.take(keys, axis=0, out=_kept(work, "index", (keys.size, _WIDTH), np.intp),
-                             mode="clip")
-        index += offsets[:keys.size]
-        out = data[32 * start:].take(index, out=_kept(work, "out", index.shape, np.uint8),
-                                     mode="wrap")
-        mask = np.not_equal(out, 0, out=_kept(work, "mask", out.shape, bool))
-        pieces.append(out[mask].tobytes().decode("ascii"))
+        buf = keeps.take(keys, axis=0, out=_kept(work, "mask", (keys.size, _WIDTH // 8), np.uint64),
+                         mode="clip")
+        np.bitwise_and(buf, data[start:start + keys.size], out=buf)
+        pieces.append(buf.tobytes().translate(None, b"\0").decode("ascii"))
     text = "".join(pieces)
     if not fallback.size:
         return text

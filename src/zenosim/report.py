@@ -276,12 +276,25 @@ def load_config(path) -> ScenarioConfig:
 
 def _load_raw(path) -> dict:
     import json  # only a run with --config reads JSON; numpy does not import it
+
+    def unique(pairs: list) -> dict:
+        """An object's keys and values, where `json` would keep a repeated key's last value."""
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config {path} repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to read
+    except ConfigError:
+        raise
+    # Bad JSON, bad UTF-8, an integer too long to read, or nesting too deep to parse.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a flat JSON object")
@@ -403,7 +416,7 @@ def emit_trace_csv(trace: SimulationTrace, path) -> None:
     formatted by `%.17g` itself, which costs less than the CSV kernel's
     import and first call; only a longer trace imports the kernel, which
     keeps one workspace from block to block, so the working set (about
-    0.75 MB) does not grow with the trace.  Both write the same bytes."""
+    0.7 MB) does not grow with the trace.  Both write the same bytes."""
     if trace.dim > 3:
         raise ValueError(f"trace CSV holds at most three levels, got dim {trace.dim}")
     pad = 3 - trace.dim

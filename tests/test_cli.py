@@ -270,6 +270,29 @@ def test_failed_write_leaves_the_earlier_file(tmp_path):
     assert os.listdir(run_dir) == ["existing.csv"]
 
 
+def test_a_repeated_config_key_is_a_config_error(tmp_path):
+    # `json` alone keeps the last value, so this would run at gamma = 400.
+    path = tmp_path / "dup.json"
+    path.write_text('{"mode": "tunneling", "omega": 0.05, "gamma": 40.0, "gamma": 400.0, '
+                    '"t_total": 5.0}', encoding="utf-8")
+    out = tmp_path / "never.csv"
+    result = run_cli(["tunneling", "--config", str(path), "--out", str(out)], tmp_path,
+                     capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"config error: config {path} repeats key 'gamma'\n"
+    assert not out.exists()
+
+
+def test_a_config_nested_past_the_recursion_limit_is_a_config_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    result = run_cli(["tunneling", "--config", str(path)], tmp_path,
+                     capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith(f"config error: config {path} is not valid JSON: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
 # Runs whose phase |lambda| * t is past the float range: flags, config keys.
 OVERFLOWING_PHASE = {
     "no_zeno": (["no-zeno", "--omega", "0.05", "--eta", "1e308", "--t-total", "5"], None),

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1036,14 +1037,70 @@ class TestTraceCsvKernel:
             tracemalloc.stop()
         assert peak <= 1.0e6
 
+    @staticmethod
+    def layout_of(text):
+        """The `%g` notation of a `%.17g` text (k for fixed notation, else the
+        exponent's sign and digit count), its significant digits and its sign."""
+        mantissa, _, exponent = text.lstrip("-").partition("e")
+        digits = mantissa.replace(".", "")
+        whole = mantissa.partition(".")[0]
+        if exponent:
+            notation = (exponent[0], len(exponent) - 1)
+        elif whole != "0":
+            notation = len(whole) - 1
+        else:
+            notation = len(digits.lstrip("0")) - len(digits)
+        return notation, len(digits.strip("0")), text.startswith("-")
+
+    def test_every_layout_it_can_write(self, monkeypatch):
+        # Fixed notation at k = -4..16 and both exponent signs with 2 and 3
+        # digits, each with 1 to 17 significant digits and either sign, taken
+        # from the `%.17g` text of decimals m * 10**e drawn until they occur;
+        # each is laid out by the kernel, not only by its fallback.
+        rng = np.random.default_rng(35)
+        notations = [*range(-4, 17), ("-", 2), ("-", 3), ("+", 2), ("+", 3)]
+        cells = []
+        for k in [*range(-4, 17), -5, -99, -100, -279, 17, 99, 100, 279]:
+            for n in range(1, 18):
+                for _ in range(200):
+                    x = float(f"{rng.integers(10 ** (n - 1), 10 ** n)}e{k - n + 1}")
+                    cells += [x, -x]
+                    notation, digits, _ = self.layout_of("%.17g" % x)
+                    tie = Fraction(x) * Fraction(10) ** (16 - k) % 1 == Fraction(1, 2)
+                    if digits == n and not tie and notation in (
+                            k, ("-" if k < 0 else "+", 2 + (abs(k) > 99))):
+                        break
+        fallbacks = [1000001 * 2.0 ** -17, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e-300]
+        values = np.array(cells + [0.0, -0.0] + fallbacks)
+        table = np.concatenate([values, np.zeros(-len(values) % 5)]).reshape(-1, 5)
+        sent = []
+        monkeypatch.setattr(_g17, "_fallback", lambda x: sent.append(repr(x)) or "%.17g" % x)
+        work = {}
+        _g17.format_block(np.random.default_rng(3).standard_normal((1_100, 5)), work)
+        for work in ({}, work):
+            assert_same_lines(_g17.format_block(table, work), oracles.csv_17g(table))
+        assert set(map(repr, fallbacks)) <= set(sent)
+        laid = {self.layout_of("%.17g" % x) for x in cells if repr(x) not in sent}
+        assert laid == {(notation, n, negative) for notation in notations for n in range(1, 18)
+                        for negative in (False, True)}
+
+    def test_the_kept_workspace_stays_block_sized(self):
+        # Two kept buffers: the block's source rows (48 bytes a cell) and one
+        # pass of masks (640 cells).
+        work, rng = {}, np.random.default_rng(4)
+        for rows in (1_024, 1_025, 3):
+            block = rng.standard_normal((rows, 5))
+            assert_same_lines(_g17.format_block(block, work), oracles.csv_17g(block))
+        assert sum(a.nbytes for a in work.values()) <= 48 * 5_125 + 640 * 48
+
     def test_import_builds_no_table(self):
         # Only a run that writes a trace imports the kernel, and the import
         # builds no table row.
         src = os.path.dirname(os.path.dirname(report.__file__))
         probe = ("import sys, zenosim.cli; assert 'zenosim._g17' not in sys.modules; "
                  "import zenosim._g17 as g; "
-                 "assert not (g._SCALES.built.any() or g._LAYOUTS.built.any()); "
-                 "assert g._digit_pairs.cache_info().currsize == 0")
+                 "assert not (g._SCALES.built.any() or g._KEEPS.built.any()); "
+                 "assert g._digit_words.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
                        env=dict(os.environ, PYTHONPATH=src))
 
